@@ -694,7 +694,10 @@ std::string usage() {
       "           protocol: 'f1,f2,...[;f1,f2,...]' predicts a request,\n"
       "           'swap <model>' hot-swaps, 'stats' prints one JSON metrics\n"
       "           line (health, shed/deadline-miss counters), 'quit' drains\n"
-      "           and exits; --deadline-us bounds each request's end-to-end\n"
+      "           and exits; a request dispatches at once while a worker is\n"
+      "           idle, and --max-delay-us caps how long it waits to coalesce\n"
+      "           while every worker is busy (0 = never wait);\n"
+      "           --deadline-us bounds each request's end-to-end\n"
       "           latency (0 = none), --priority tags requests for the\n"
       "           admission ladder, --shed-policy picks overload behaviour\n"
       "           (see docs/ARCHITECTURE.md \"Serving\")\n"

@@ -271,14 +271,19 @@ struct InferenceServer::Impl {
       // while the queue is drowning.
       const std::size_t eff_max_batch =
           level >= 2 ? options.max_batch * 2 : options.max_batch;
-      // Dynamic flush: wait for a full block, the oldest request's delay
-      // budget, or the tightest queued deadline — whichever first.  A
-      // single request that already fills the block skips the wait.  On
-      // shutdown the wait is skipped so the queue drains immediately.
-      if (!stopping && queued_samples < eff_max_batch && eff_delay > 0) {
+      // Work-conserving flush: while a worker is idle (free_workers > 0)
+      // the queued work dispatches at once.  Only while every worker is
+      // busy does a forming batch wait — for a full block, the oldest
+      // request's delay budget, the tightest queued deadline, or a worker
+      // freeing up, whichever first.  A single request that already fills
+      // the block skips the wait.  On shutdown the wait is skipped so the
+      // queue drains immediately.
+      if (!stopping && queued_samples < eff_max_batch && eff_delay > 0 &&
+          free_workers <= 0) {
         bool level_changed = false;
         while (!stopping && !queue.empty() &&
-               queued_samples < eff_max_batch && !slot->abandoned.load()) {
+               queued_samples < eff_max_batch && free_workers <= 0 &&
+               !slot->abandoned.load()) {
           // A pressure change mid-wait re-enters the cycle: the ladder's
           // tighter (or relaxed) delay applies now, not after this wait.
           if (degrade_level_from(queued_samples, queue.size(), options) !=
@@ -363,7 +368,7 @@ struct InferenceServer::Impl {
   /// Pops the head request plus every queued neighbor that shares its
   /// predictor snapshot, up to `eff_max_batch` samples.  A request larger
   /// than that still forms a (single-request) batch — requests are never
-  /// split.  Caller holds queue_mutex.
+  /// split.  The batch takes one worker credit.  Caller holds queue_mutex.
   BatchPtr form_batch_locked(std::size_t eff_max_batch)
       FLINT_REQUIRES(queue_mutex) {
     BatchPtr batch = std::make_shared<Batch>();
@@ -385,6 +390,7 @@ struct InferenceServer::Impl {
       core::MutexLock bm(batch->mu);
       batch->settled.assign(batch->requests.size(), 0);
     }
+    --free_workers;
     return batch;
   }
 
@@ -406,9 +412,10 @@ struct InferenceServer::Impl {
   }
 
   /// Coalesces a formed batch under watchdog observation and commits it to
-  /// the batch queue.  An assembly fault fails the batch typed; a fail-over
-  /// that lands mid-assembly (slot abandoned) drops the commit — the
-  /// watchdog already resolved the requests.
+  /// the batch queue.  An assembly fault fails the batch typed and hands
+  /// its worker credit back; a fail-over that lands mid-assembly (slot
+  /// abandoned) drops the commit — the watchdog already resolved the
+  /// requests and returned the credit.
   void assemble_and_commit(Slot* slot, const BatchPtr& batch) {
     {
       core::MutexLock sl(slots_mutex);
@@ -423,30 +430,37 @@ struct InferenceServer::Impl {
     } catch (...) {
       fail_batch(*batch, as_typed_execution_error(std::current_exception()));
     }
-    bool committed = false;
+    bool live = false;
     {
       core::MutexLock sl(slots_mutex);
       // If the watchdog abandoned this slot it already cleared the
       // heartbeat and the replacement may have registered its own batch —
       // a zombie must not touch the shared batcher state.
-      if (!slot->abandoned.load()) {
+      live = !slot->abandoned.load();
+      if (live) {
         batcher_current.reset();
         batcher_busy_since_us = 0;
         if (assembled) {
           core::MutexLock bl(batch_mutex);
           batches.push_back(batch);
-          committed = true;
         }
       }
     }
-    if (committed) {
-      batch_cv.notify_one();
+    if (!live) {
+      // Failed over mid-batch: the watchdog resolved the requests already;
+      // this is a settle-guarded no-op backstop.
+      if (assembled) {
+        fail_batch(*batch,
+                   std::make_exception_ptr(ServeError(
+                       ErrorCode::kStalled, "batcher failed over mid-batch")));
+      }
     } else if (assembled) {
-      // Failed over between assembly and commit: the watchdog resolved the
-      // requests already; this is a settle-guarded no-op backstop.
-      fail_batch(*batch,
-                 std::make_exception_ptr(ServeError(
-                     ErrorCode::kStalled, "batcher failed over mid-batch")));
+      batch_cv.notify_one();
+    } else {
+      // The failed batch never reaches a worker.  The heartbeat is clear,
+      // so no fail-over can race this return.
+      core::MutexLock ql(queue_mutex);
+      ++free_workers;
     }
   }
 
@@ -480,6 +494,16 @@ struct InferenceServer::Impl {
         worker_current[my_index].reset();
         worker_busy_since_us[my_index] = 0;
       }
+      // Batch finished (run, failed or expired): return its credit.  With
+      // the heartbeat clear no fail-over can return it twice.  Wake the
+      // batcher only when work is queued that this credit can dispatch.
+      bool wake_batcher = false;
+      {
+        core::MutexLock ql(queue_mutex);
+        ++free_workers;
+        wake_batcher = free_workers > 0 && !queue.empty();
+      }
+      if (wake_batcher) queue_cv.notify_one();
     }
   }
 
@@ -642,6 +666,18 @@ struct InferenceServer::Impl {
                static_cast<std::int64_t>(options.stall_timeout_us);
   }
 
+  /// A stage is only failed over while busy, so it holds the credit of the
+  /// batch it stalled in.  The zombie never returns it; the fail-over does
+  /// on the replacement's behalf and wakes the batcher, which may have
+  /// work waiting for a worker.
+  void restore_stalled_credit_locked() FLINT_REQUIRES(slots_mutex) {
+    {
+      core::MutexLock ql(queue_mutex);
+      ++free_workers;
+    }
+    queue_cv.notify_all();
+  }
+
   void fail_over_batcher_locked() FLINT_REQUIRES(slots_mutex) {
     BatchPtr stranded = std::move(batcher_current);
     batcher_current.reset();
@@ -650,15 +686,19 @@ struct InferenceServer::Impl {
     zombies.push_back(std::move(batcher_slot));
     batcher_slot = std::make_unique<Slot>();
     spawn_batcher_locked(batcher_slot.get());
-    queue_cv.notify_all();  // the replacement may have work waiting
+    restore_stalled_credit_locked();
+    // Counters before settlement: a client that observes its kStalled
+    // error also observes the restart that produced it.
+    {
+      core::MutexLock ml(metrics_mutex);
+      ++metrics.batcher_restarts;
+    }
     if (stranded) {
       fail_batch(*stranded,
                  std::make_exception_ptr(ServeError(
                      ErrorCode::kStalled,
                      "batcher stalled mid-batch; failed over and respawned")));
     }
-    core::MutexLock ml(metrics_mutex);
-    ++metrics.batcher_restarts;
   }
 
   void fail_over_worker_locked(std::size_t index) FLINT_REQUIRES(slots_mutex) {
@@ -669,14 +709,17 @@ struct InferenceServer::Impl {
     zombies.push_back(std::move(worker_slots[index]));
     worker_slots[index] = std::make_unique<Slot>();
     spawn_worker_locked(worker_slots[index].get());
+    restore_stalled_credit_locked();
+    {
+      core::MutexLock ml(metrics_mutex);
+      ++metrics.worker_restarts;  // before settlement, as above
+    }
     if (stranded) {
       fail_batch(*stranded,
                  std::make_exception_ptr(ServeError(
                      ErrorCode::kStalled,
                      "worker stalled mid-batch; failed over and respawned")));
     }
-    core::MutexLock ml(metrics_mutex);
-    ++metrics.worker_restarts;
   }
 
   /// Fails requests displaced from the queue by priority eviction.  Called
@@ -761,6 +804,14 @@ struct InferenceServer::Impl {
   Clock::time_point earliest_deadline FLINT_GUARDED_BY(queue_mutex) =
       Clock::time_point::max();
   bool stopping FLINT_GUARDED_BY(queue_mutex) = false;
+  /// Workers minus batches formed but not yet finished by a live worker:
+  /// > 0 means a worker is idle with no batch queued for it, so the
+  /// batcher dispatches at once.  Negative while batches queue behind busy
+  /// workers.  A formed batch takes a credit; finishing it (or failing its
+  /// assembly) returns it; a fail-over returns the stalled stage's credit
+  /// and its zombie never does.  Lock order: slots_mutex may be held when
+  /// taking queue_mutex; queue_mutex is never taken under batch_mutex.
+  std::ptrdiff_t free_workers FLINT_GUARDED_BY(queue_mutex) = n_workers;
 
   core::Mutex batch_mutex;
   std::condition_variable_any batch_cv;

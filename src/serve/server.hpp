@@ -11,11 +11,16 @@
 //                      ▲ admission control        ▲ watchdog (stall detection,
 //                        + deadline sweep           fail-over, respawn)
 //
-//   * the batcher flushes a formed batch when `max_batch` samples are
-//     queued, when the oldest queued request has waited `max_delay_us`, or
-//     when the tightest per-request deadline in the queue is reached —
-//     whichever comes first; a batch holding a single request executes
-//     zero-copy, directly on that request's own buffer;
+//   * the batcher is work-conserving: while a worker is idle (no formed
+//     batch already queued for it) queued work flushes at once, so an
+//     isolated request never waits for company.  Only while every worker
+//     is busy does a forming batch wait, and it flushes when `max_batch`
+//     samples are queued, when the oldest queued request has waited
+//     `max_delay_us`, when the tightest per-request deadline in the queue
+//     is reached, or when a worker goes idle — whichever comes first.
+//     Batching thus costs latency only under load.  A batch holding a
+//     single request executes zero-copy, directly on that request's own
+//     buffer;
 //   * per-request deadlines (SubmitOptions::deadline_us) bound time spent
 //     in the queue: a request whose deadline expires before dispatch is
 //     swept and failed with ErrorCode::kDeadlineExceeded instead of being
@@ -163,9 +168,12 @@ struct ServeOptions {
   /// Flush a forming batch once this many samples are queued (a single
   /// request at or beyond it flushes immediately).
   std::size_t max_batch = 1024;
-  /// Flush once the oldest queued request has waited this long, even if the
-  /// batch is not full; 0 disperses every request as its own batch.  The
-  /// degrade ladder shrinks the effective value under queue pressure.
+  /// The longest a request waits to coalesce while every worker is busy:
+  /// a forming batch flushes once its oldest request has waited this long,
+  /// even if not full.  A request that finds a worker idle dispatches at
+  /// once regardless.  0 never waits: each flush takes only what is
+  /// already queued (max_batch = 1 makes every request its own batch).
+  /// The degrade ladder shrinks the effective value under queue pressure.
   std::uint32_t max_delay_us = 200;
   /// Batch-execution worker threads; 0 means available_parallelism().
   unsigned workers = 1;

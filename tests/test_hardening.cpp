@@ -39,7 +39,7 @@ TEST(JsonHardening, ModerateNestingAccepted) {
 
 TEST(JsonHardening, DeepNestingRejectedNotStackOverflow) {
   try {
-    parse_json(nested_array(100000));
+    (void)parse_json(nested_array(100000));
     FAIL() << "expected a depth-limit error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("nesting"), std::string::npos)
@@ -50,11 +50,12 @@ TEST(JsonHardening, DeepNestingRejectedNotStackOverflow) {
 TEST(JsonHardening, IntOutOfRangeRejectedBeforeCast) {
   // double -> long long is undefined outside [-2^63, 2^63); a hostile
   // "1e300" node id must throw, not invoke UB.
-  EXPECT_THROW(parse_json("1e300").as_int(), std::runtime_error);
-  EXPECT_THROW(parse_json("-1e300").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse_json("1e300").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse_json("-1e300").as_int(), std::runtime_error);
   // 2^63 itself is outside the half-open range (LLONG_MAX is 2^63 - 1).
-  EXPECT_THROW(parse_json("9223372036854775808").as_int(), std::runtime_error);
-  EXPECT_THROW(parse_json("NaN").as_int(), std::runtime_error);
+  EXPECT_THROW((void)parse_json("9223372036854775808").as_int(),
+               std::runtime_error);
+  EXPECT_THROW((void)parse_json("NaN").as_int(), std::runtime_error);
   // -2^63 is exactly LLONG_MIN and must round-trip.
   EXPECT_EQ(parse_json("-9223372036854775808").as_int(),
             -9223372036854775807LL - 1);
@@ -113,7 +114,7 @@ TEST(SerializeHardening, HugeCategoryWordCountRejected) {
       "cats 1\n"
       "c 99999999999 1\n");
   try {
-    flint::trees::read_tree<float>(in);
+    (void)flint::trees::read_tree<float>(in);
     FAIL() << "expected a word-count error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("exceeds line length"),

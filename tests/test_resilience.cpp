@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "predict/predictor.hpp"
 #include "serve/faults.hpp"
 #include "serve/server.hpp"
+#include "serve_test_support.hpp"
 #include "trees/forest.hpp"
 
 namespace {
@@ -35,6 +37,8 @@ using flint::serve::ServeError;
 using flint::serve::ServeOptions;
 using flint::serve::ShedPolicy;
 using flint::serve::SubmitOptions;
+using flint::serve::testing::GateGuard;
+using flint::serve::testing::GatePredictor;
 namespace faults = flint::serve::faults;
 
 PredictorPtr wrap(const flint::trees::Forest<float>& forest) {
@@ -167,26 +171,58 @@ TEST_F(ResilienceFixture, GenerousDeadlineSucceeds) {
   EXPECT_EQ(m.completed, 1u);
 }
 
-// The tightest queued deadline drives the flush: with a 30s max_delay a
-// deadline-carrying request still dispatches within its budget, and the
-// no-deadline request coalesced with it rides along.
+// The tightest queued deadline drives the flush: with the only worker
+// parked (no idle dispatch) and a 30s max_delay, a deadline-carrying
+// request still leaves the request queue within its budget, and the
+// no-deadline request coalesced with it rides along in the same batch.
+//
+// The flush lands kDeadlineFlushHeadroom (10ms) ahead of the deadline, but
+// the batch then waits for the parked worker, and whether the test opens
+// the gate inside that window is up to scheduling.  So the request may
+// still miss its deadline — but only at the worker's pre-execution sweep.
+// A flush that came late (after the deadline) is swept from the request
+// queue instead and reports "before dispatch", which fails this test.
 TEST_F(ResilienceFixture, TightestDeadlineDrivesFlush) {
   ServeOptions opt;
   opt.max_batch = 1u << 20;
   opt.max_delay_us = 30'000'000;
   opt.workers = 1;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
-  const auto start = std::chrono::steady_clock::now();
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = server.submit(rows_from(0, 1), 1);
+  ASSERT_TRUE(gate->wait_entered());
   auto no_deadline = server.submit(rows_from(0, 2), 2);
   SubmitOptions sopt;
   sopt.deadline_us = 200'000;  // 200ms << 30s
   auto with_deadline = server.submit(rows_from(10, 2), 2, {}, sopt);
-  EXPECT_TRUE(matches(ref_a_, 10, with_deadline.get()));
+  // Poll tightly so the gate opens as soon as the flush is visible.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (server.metrics().queued_samples != 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(server.metrics().queued_samples, 0u);  // flushed, not 30s later
+  gate->open();
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   EXPECT_TRUE(matches(ref_a_, 0, no_deadline.get()));
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_LT(elapsed, std::chrono::seconds(10));
-  EXPECT_EQ(server.metrics().deadline_missed, 0u);
+  std::uint64_t misses = 0;
+  try {
+    EXPECT_TRUE(matches(ref_a_, 10, with_deadline.get()));
+  } catch (const ServeError& e) {
+    // Dispatched in time, then expired waiting for the parked worker.
+    EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
+    EXPECT_NE(std::string(e.what()).find("before execution"),
+              std::string::npos)
+        << "flushed after the deadline: " << e.what();
+    misses = 1;
+  }
+  const auto m = server.metrics();
+  EXPECT_EQ(m.deadline_missed, misses);
+  EXPECT_EQ(m.batches, 2u);  // the bait, then both requests together
+  EXPECT_EQ(m.requests, m.completed + m.failed);
 }
 
 // A request whose deadline expires while queued is swept and failed typed,
@@ -225,15 +261,21 @@ TEST_F(ResilienceFixture, DegradeLevelAndHealthTrackPressure) {
   opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   opt.sample_capacity = 100;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
   EXPECT_EQ(server.metrics().health, HealthState::kHealthy);
+  auto bait = server.submit(rows_from(0, 1), 1);
+  ASSERT_TRUE(gate->wait_entered());  // no idle worker: the queue holds
   auto pinned = server.submit(rows_from(0, 60), 60);  // pressure 0.6
   auto m = server.metrics();
   EXPECT_EQ(m.degrade_level, 1);
   EXPECT_EQ(m.health, HealthState::kDegraded);
   EXPECT_EQ(m.queued_samples, 60u);
+  gate->open();
   server.stop();
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   EXPECT_TRUE(matches(ref_a_, 0, pinned.get()));
   m = server.metrics();
   EXPECT_EQ(m.health, HealthState::kDraining);
@@ -411,6 +453,83 @@ TEST_F(ResilienceFixture, BatcherStallWatchdogFailsOverAndRespawns) {
   EXPECT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& m) {
     return m.health == HealthState::kHealthy;
   }));
+#endif
+}
+
+// The idle-worker count stays exact through every path that loses a batch:
+// a worker fail-over, a batcher fail-over and an assembly bad_alloc.  A
+// leaked credit would leave the lone worker looking busy, so an isolated
+// request would wait out the 30s max_delay; a credit returned twice (say by
+// a zombie) would let requests queued behind a busy worker dispatch
+// without coalescing.
+TEST_F(ResilienceFixture, FailOversAndAssemblyFaultsKeepIdleCountExact) {
+#if !FLINT_FAULTS
+  GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
+#else
+  // Per-site hit counts: request 1 stalls its worker (execute hit 1),
+  // request 2 stalls the batcher (form hit 2), request 3 fails coalescing
+  // (coalesce hit 2 — request 2 never reached it).
+  faults::Arm worker_stall;
+  worker_stall.site = faults::Site::kWorkerExecute;
+  worker_stall.kind = faults::Kind::kStall;
+  worker_stall.fire_at = 1;
+  worker_stall.stall_us = 10'000'000;
+  faults::arm(worker_stall);
+  faults::Arm batcher_stall = worker_stall;
+  batcher_stall.site = faults::Site::kBatcherForm;
+  batcher_stall.fire_at = 2;
+  faults::arm(batcher_stall);
+  faults::Arm bad_alloc;
+  bad_alloc.site = faults::Site::kBatcherCoalesce;
+  bad_alloc.kind = faults::Kind::kBadAlloc;
+  bad_alloc.fire_at = 2;
+  faults::arm(bad_alloc);
+  ServeOptions opt;
+  opt.max_delay_us = 30'000'000;
+  opt.workers = 1;
+  opt.stall_timeout_us = 60'000;
+  InferenceServer server(opt);
+  server.registry().install("default", wrap(forest_a_));
+  auto worker_stalled = server.submit(rows_from(0, 1), 1);
+  EXPECT_EQ(serve_error_code(worker_stalled), ErrorCode::kStalled);
+  auto batcher_stalled = server.submit(rows_from(1, 1), 1);
+  EXPECT_EQ(serve_error_code(batcher_stalled), ErrorCode::kStalled);
+  auto alloc_failed = server.submit(rows_from(2, 1), 1);
+  EXPECT_EQ(serve_error_code(alloc_failed), ErrorCode::kExecutionFailed);
+  auto m = server.metrics();
+  EXPECT_EQ(m.worker_restarts, 1u);
+  EXPECT_EQ(m.batcher_restarts, 1u);
+
+  auto probe = server.submit(rows_from(3, 1), 1);
+  ASSERT_EQ(probe.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_TRUE(matches(ref_a_, 3, probe.get()));
+
+  // Let the zombies come back and be reaped, then check nothing returned
+  // a second credit: with the worker parked, queued requests must hold.
+  faults::cancel_stalls();
+  ASSERT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& s) {
+    return s.health == HealthState::kHealthy;
+  }));
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = server.submit(rows_from(4, 1), 1);
+  ASSERT_TRUE(gate->wait_entered());
+  auto first = server.submit(rows_from(5, 1), 1);
+  auto second = server.submit(rows_from(6, 1), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.metrics().queued_samples, 2u);
+  const std::uint64_t batches_before = server.metrics().batches;
+  gate->open();
+  EXPECT_TRUE(matches(ref_a_, 4, bait.get()));
+  EXPECT_TRUE(matches(ref_a_, 5, first.get()));
+  EXPECT_TRUE(matches(ref_a_, 6, second.get()));
+  m = server.metrics();
+  EXPECT_EQ(m.batches, batches_before + 2);  // the bait, then the pair
+  server.stop();
+  m = server.metrics();
+  EXPECT_EQ(m.requests, m.completed + m.failed);
 #endif
 }
 

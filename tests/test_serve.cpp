@@ -9,9 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "data/synth.hpp"
 #include "predict/predictor.hpp"
 #include "serve/server.hpp"
+#include "serve_test_support.hpp"
 #include "trees/forest.hpp"
 
 namespace {
@@ -30,6 +33,9 @@ using flint::serve::ModelRegistry;
 using flint::serve::PredictorPtr;
 using flint::serve::ServeError;
 using flint::serve::ServeOptions;
+using flint::serve::testing::GateGuard;
+using flint::serve::testing::GatePredictor;
+using PredictionFuture = std::future<std::vector<std::int32_t>>;
 
 /// Resolves `future`, expecting a ServeError; returns its code.
 template <typename Future>
@@ -93,6 +99,15 @@ class ServeFixture : public ::testing::Test {
       if (got[s] != ref[(first + s) % rows_]) return false;
     }
     return true;
+  }
+
+  /// Parks the server's single worker in `gate` on a one-sample bait
+  /// request; returns the bait's future.
+  PredictionFuture park_worker(InferenceServer& server,
+                               const GatePredictor& gate) {
+    auto bait = server.submit(rows_from(0, 1), 1);
+    EXPECT_TRUE(gate.wait_entered());
+    return bait;
   }
 
   flint::data::TrainTestSplit<float> split_;
@@ -251,20 +266,33 @@ TEST_F(ServeFixture, HotSwapUnderLoadNeverMixesVersions) {
 }
 
 // Shutdown contract: stop() with a non-empty queue drains — every accepted
-// request completes with a correct result, none is dropped.  The huge
-// max_delay pins the requests in the queue until stop() forces the flush.
+// request completes with a correct result, none is dropped.  The parked
+// worker and the huge max_delay pin the requests in the queue until stop()
+// forces the flush.
 TEST_F(ServeFixture, ShutdownDrainsNonEmptyQueue) {
   ServeOptions opt;
   opt.max_batch = 1u << 20;       // sample-count flush unreachable
   opt.max_delay_us = 30'000'000;  // delay flush unreachable in test time
-  opt.workers = 2;
+  opt.workers = 1;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
-  std::vector<std::future<std::vector<std::int32_t>>> futures;
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = park_worker(server, *gate);
+  std::vector<PredictionFuture> futures;
   for (std::size_t i = 0; i < 40; ++i) {
     futures.push_back(server.submit(rows_from(i * 3, 2), 2));
   }
-  server.stop();
+  EXPECT_EQ(server.metrics().queued_samples, 80u);
+  // stop() joins the parked worker, so it runs beside the test thread; the
+  // gate opens once the drain has begun.
+  std::thread stopper([&] { server.stop(); });
+  while (server.metrics().health != flint::serve::HealthState::kDraining) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate->open();
+  stopper.join();
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     auto got = futures[i].get();  // would block forever if dropped
     EXPECT_TRUE(matches(ref_a_, i * 3, got)) << "request " << i;
@@ -282,9 +310,12 @@ TEST_F(ServeFixture, BackpressureRejectsBeyondQueueCapacity) {
   opt.max_delay_us = 30'000'000;  // batcher holds the queue during the test
   opt.workers = 1;
   opt.queue_capacity = 4;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
-  std::vector<std::future<std::vector<std::int32_t>>> accepted;
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = park_worker(server, *gate);  // no idle worker to dispatch to
+  std::vector<PredictionFuture> accepted;
   for (std::size_t i = 0; i < 4; ++i) {
     accepted.push_back(server.submit(rows_from(i, 1), 1));
   }
@@ -296,7 +327,9 @@ TEST_F(ServeFixture, BackpressureRejectsBeyondQueueCapacity) {
     EXPECT_EQ(e.code(), ErrorCode::kQueueFull);
     EXPECT_GT(e.retry_after_us(), 0u);  // Overloaded/QueueFull carry a hint
   }
+  gate->open();
   server.stop();  // drains the four accepted requests
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   for (std::size_t i = 0; i < accepted.size(); ++i) {
     EXPECT_TRUE(matches(ref_a_, i, accepted[i].get()));
   }
@@ -312,15 +345,18 @@ TEST_F(ServeFixture, BackpressureBoundsQueuedSamples) {
   opt.workers = 1;
   opt.queue_capacity = 1024;  // far from binding here
   opt.sample_capacity = 200;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = park_worker(server, *gate);  // no idle worker to dispatch to
   // A single request beyond sample_capacity is never admissible.
   auto huge = server.submit(rows_from(0, 201), 201);
   EXPECT_EQ(serve_error_code(huge), ErrorCode::kOverloaded);
   // 80 samples queued (pressure 0.4: below the degrade ladder, so the
   // batcher keeps waiting); a further 130 would cross the sample bound
   // even though the request count (3) is nowhere near queue_capacity.
-  std::vector<std::future<std::vector<std::int32_t>>> accepted;
+  std::vector<PredictionFuture> accepted;
   accepted.push_back(server.submit(rows_from(0, 40), 40));
   accepted.push_back(server.submit(rows_from(40, 40), 40));
   auto overflow = server.submit(rows_from(80, 130), 130);
@@ -334,7 +370,9 @@ TEST_F(ServeFixture, BackpressureBoundsQueuedSamples) {
   const auto m = server.metrics();
   EXPECT_EQ(m.queued_samples, 80u);
   EXPECT_EQ(m.shed, 2u);
+  gate->open();
   server.stop();
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   EXPECT_TRUE(matches(ref_a_, 0, accepted[0].get()));
   EXPECT_TRUE(matches(ref_a_, 40, accepted[1].get()));
 }
@@ -417,6 +455,53 @@ TEST_F(ServeFixture, ZeroCopySingleLargeRequest) {
   // An empty request resolves immediately without touching the queue.
   auto empty = server.submit({}, 0);
   EXPECT_TRUE(empty.get().empty());
+}
+
+// Work-conserving dispatch: with a worker idle, an isolated request flushes
+// at once — max_delay_us bounds coalescing only while every worker is busy
+// — and executes as one zero-copy batch.
+TEST_F(ServeFixture, IsolatedRequestDispatchesAtOnceToIdleWorker) {
+  ServeOptions opt;
+  opt.max_delay_us = 30'000'000;
+  opt.workers = 1;
+  InferenceServer server(opt);
+  server.registry().install("default", wrap(forest_a_));
+  auto future = server.submit(rows_from(3, 1), 1);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_TRUE(matches(ref_a_, 3, future.get()));
+  const auto m = server.metrics();
+  EXPECT_EQ(m.batches, 1u);
+  EXPECT_EQ(m.zero_copy_batches, 1u);
+}
+
+// Under load the batcher still coalesces: requests queued behind the busy
+// (parked) worker form one batch the moment it goes idle, instead of
+// waiting out max_delay_us.
+TEST_F(ServeFixture, RequestsQueuedBehindBusyWorkerCoalesceOnRelease) {
+  ServeOptions opt;
+  opt.max_delay_us = 30'000'000;
+  opt.workers = 1;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
+  InferenceServer server(opt);
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto bait = park_worker(server, *gate);
+  std::vector<PredictionFuture> queued;
+  for (std::size_t i = 0; i < 6; ++i) {
+    queued.push_back(server.submit(rows_from(10 + i, 1), 1));
+  }
+  EXPECT_EQ(server.metrics().queued_samples, 6u);
+  gate->open();
+  EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
+  for (std::size_t i = 0; i < queued.size(); ++i) {
+    ASSERT_EQ(queued[i].wait_for(std::chrono::seconds(1)),
+              std::future_status::ready);
+    EXPECT_TRUE(matches(ref_a_, 10 + i, queued[i].get()));
+  }
+  const auto m = server.metrics();
+  EXPECT_EQ(m.batches, 2u);  // the bait, then all six coalesced
+  EXPECT_EQ(m.zero_copy_batches, 1u);
 }
 
 TEST_F(ServeFixture, SubmitBeforeAnyInstallIsRejected) {
