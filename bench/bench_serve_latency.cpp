@@ -6,19 +6,18 @@
 //
 //   * acceptance comparison — closed-loop pipelined clients submitting
 //     single-sample requests against (a) batch-size-1 dispatch
-//     (max_batch=1, max_delay_us=0) and (b) micro-batching
-//     (max_delay_us >= 200) at EQUAL thread count, in alternating paired
-//     rounds; reports the median per-round QPS ratio (the repo's
-//     acceptance target is >= 5x on the 128-tree default forest);
+//     (max_batch=1) and (b) micro-batching (max_batch=1024) at EQUAL
+//     thread count, in alternating paired rounds; reports the median
+//     per-round QPS ratio (the repo's acceptance target is >= 5x on the
+//     128-tree default forest);
 //   * open-loop sweep — paced submission at a fixed offered load, sweeping
-//     offered QPS x max_delay_us x backend and reporting achieved QPS and
-//     p50/p99 request latency (the batching/latency tradeoff curve in
-//     docs/BENCHMARKS.md);
+//     offered QPS x backend and reporting achieved QPS and p50/p99 request
+//     latency (the batching/latency tradeoff curve in docs/BENCHMARKS.md);
 //   * hot-swap gate — 8 client threads push 10k mixed-size requests while
 //     the main thread hot-swaps the model mid-run; every response must be
 //     bit-identical to Forest::predict of exactly one of the two model
-//     versions (never a mix), and p99 latency must stay under
-//     max_delay_us + a measured kernel budget.
+//     versions (never a mix), and p99 latency must stay under a measured
+//     kernel budget.
 //
 // Every response in every mode is verified bit-identical to per-sample
 // Forest::predict before it counts.  FLINT_BENCH_SMOKE=1 (the CI gate)
@@ -194,7 +193,7 @@ int main(int argc, char** argv) {
     std::printf(
         "bench_serve_latency: micro-batching serving runtime bench.\n"
         "Closed-loop acceptance comparison (micro-batch vs batch-1 dispatch),\n"
-        "open-loop offered-load x max_delay_us x backend sweep, and the\n"
+        "open-loop offered-load x backend sweep, and the\n"
         "hot-swap correctness + p99 gate.  FLINT_BENCH_SMOKE=1 = CI gate\n"
         "subset; FLINT_BENCH_FULL=1 enlarges sweeps.\n");
     return 0;
@@ -272,7 +271,6 @@ int main(int argc, char** argv) {
     for (const bool micro : {false, true}) {
       flint::serve::ServeOptions sopt;
       sopt.max_batch = micro ? 1024 : 1;
-      sopt.max_delay_us = micro ? 200 : 0;
       sopt.workers = workers;
       flint::serve::InferenceServer server(sopt);
       server.registry().install("default",
@@ -281,7 +279,7 @@ int main(int argc, char** argv) {
       server.stop();
       (micro ? qps_micro : qps_single) = r.qps;
       const std::string label =
-          micro ? "micro-batch(1024, 200us)" : "batch-1 dispatch";
+          micro ? "micro-batch(1024)" : "batch-1 dispatch";
       std::printf("%-6d %-28s %-12.0f %-10.0f %-10.0f %-12.1f\n", round,
                   label.c_str(), r.qps, r.p50_us, r.p99_us, r.mean_batch);
       json.add_row(
@@ -302,7 +300,7 @@ int main(int argc, char** argv) {
   std::printf(
       "micro-batching speedup: %.2fx, paired median of %d rounds (range\n"
       "%.2f-%.2fx; target >= 5x on multi-core hosts; on a single-core host\n"
-      "every client, batcher and worker timeshares one CPU, which caps the\n"
+      "every client and worker timeshares one CPU, which caps the\n"
       "ratio near 2x — see docs/BENCHMARKS.md)\n\n",
       speedup, kRounds, ratios.front(), ratios.back());
   json.set("microbatch_speedup", speedup);
@@ -321,48 +319,40 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Open-loop sweep: offered load x max_delay_us x backend. ------------
+  // --- Open-loop sweep: offered load x backend. ---------------------------
   if (!smoke) {
     std::printf(
         "--- open-loop sweep (paced single-sample requests, %u workers) ---\n",
         workers);
-    std::printf("%-12s %-12s %-12s %-12s %-10s %-10s %-12s\n", "backend",
-                "delay_us", "offered", "achieved", "p50_us", "p99_us",
-                "mean_batch");
+    std::printf("%-12s %-12s %-12s %-10s %-10s %-12s\n", "backend",
+                "offered", "achieved", "p50_us", "p99_us", "mean_batch");
     const std::vector<std::string> backends =
         full ? std::vector<std::string>{"encoded", "simd:flint", "layout:auto"}
              : std::vector<std::string>{"encoded", "layout:auto"};
-    const std::vector<std::uint32_t> delays =
-        full ? std::vector<std::uint32_t>{0, 200, 1000, 5000}
-             : std::vector<std::uint32_t>{0, 200, 1000};
     const std::vector<double> loads =
         full ? std::vector<double>{2000, 20000, 80000}
              : std::vector<double>{2000, 20000};
     for (const auto& backend : backends) {
       const auto predictor = make_backend(forest_a, backend);
-      for (const std::uint32_t delay : delays) {
-        for (const double offered : loads) {
-          flint::serve::ServeOptions sopt;
-          sopt.max_batch = 1024;
-          sopt.max_delay_us = delay;
-          sopt.workers = workers;
-          flint::serve::InferenceServer server(sopt);
-          server.registry().install("default", predictor);
-          const auto r = open_loop(server, pool, offered, full ? 1.0 : 0.4);
-          server.stop();
-          std::printf("%-12s %-12u %-12.0f %-12.0f %-10.0f %-10.0f %-12.1f\n",
-                      backend.c_str(), delay, offered, r.qps, r.p50_us,
-                      r.p99_us, r.mean_batch);
-          json.add_row(
-              {{"mode", flint::harness::BenchValue::of("open-loop")},
-               {"backend", flint::harness::BenchValue::of(backend)},
-               {"max_delay_us", flint::harness::BenchValue::of(delay)},
-               {"offered_qps", flint::harness::BenchValue::of(offered)},
-               {"qps", flint::harness::BenchValue::of(r.qps)},
-               {"p50_us", flint::harness::BenchValue::of(r.p50_us)},
-               {"p99_us", flint::harness::BenchValue::of(r.p99_us)},
-               {"mean_batch", flint::harness::BenchValue::of(r.mean_batch)}});
-        }
+      for (const double offered : loads) {
+        flint::serve::ServeOptions sopt;
+        sopt.max_batch = 1024;
+        sopt.workers = workers;
+        flint::serve::InferenceServer server(sopt);
+        server.registry().install("default", predictor);
+        const auto r = open_loop(server, pool, offered, full ? 1.0 : 0.4);
+        server.stop();
+        std::printf("%-12s %-12.0f %-12.0f %-10.0f %-10.0f %-12.1f\n",
+                    backend.c_str(), offered, r.qps, r.p50_us, r.p99_us,
+                    r.mean_batch);
+        json.add_row(
+            {{"mode", flint::harness::BenchValue::of("open-loop")},
+             {"backend", flint::harness::BenchValue::of(backend)},
+             {"offered_qps", flint::harness::BenchValue::of(offered)},
+             {"qps", flint::harness::BenchValue::of(r.qps)},
+             {"p50_us", flint::harness::BenchValue::of(r.p50_us)},
+             {"p99_us", flint::harness::BenchValue::of(r.p99_us)},
+             {"mean_batch", flint::harness::BenchValue::of(r.mean_batch)}});
       }
     }
     std::printf("\n");
@@ -386,7 +376,7 @@ int main(int argc, char** argv) {
   // --- Overload gate: open-loop burst vs admission control + deadlines. ---
   // An unpaced burst far beyond the sample bound, every request carrying a
   // deadline.  Each request carries kBurstSamples samples: the
-  // work-conserving batcher drains a single-sample burst from four clients
+  // work-conserving workers drain a single-sample burst from four clients
   // as fast as they submit it, which would leave nothing to shed.
   // Admission control must shed the excess with typed errors
   // (kOverloaded/kQueueFull, counted as shed; kDeadlineExceeded as a miss)
@@ -399,7 +389,6 @@ int main(int argc, char** argv) {
   {
     flint::serve::ServeOptions uopt;
     uopt.max_batch = 256;
-    uopt.max_delay_us = 200;
     uopt.workers = workers;
     flint::serve::InferenceServer unloaded(uopt);
     unloaded.registry().install("default",
@@ -425,7 +414,6 @@ int main(int argc, char** argv) {
   {
     flint::serve::ServeOptions oopt;
     oopt.max_batch = 256;
-    oopt.max_delay_us = 200;
     oopt.workers = workers;
     oopt.queue_capacity = 1024;
     oopt.sample_capacity = 1024;
@@ -540,9 +528,8 @@ int main(int argc, char** argv) {
   std::printf("--- hot-swap gate (8 threads x 1250 mixed-size requests) ---\n");
   flint::serve::ServeOptions sopt;
   sopt.max_batch = 256;
-  sopt.max_delay_us = 200;
   sopt.workers = workers;
-  const double p99_budget_us = sopt.max_delay_us + 10.0 * block_us + 5000.0;
+  const double p99_budget_us = 10.0 * block_us + 5000.0;
 
   flint::serve::InferenceServer server(sopt);
   server.registry().install("default", make_backend(forest_a, "layout:auto"));

@@ -404,7 +404,6 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
   const std::string model_path = args.require("model");
   const std::string engine_name = args.get("engine", "layout:auto");
   const long max_batch = args.get_long("max-batch", 1024);
-  const long max_delay_us = args.get_long("max-delay-us", 200);
   const long workers = args.get_long("workers", 1);
   const long threads = args.get_long("threads", 1);
   const long batch = args.get_long("batch", 256);
@@ -412,9 +411,6 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
   const std::string priority_name = args.get("priority", "normal");
   const std::string shed_policy_name = args.get("shed-policy", "reject-new");
   if (max_batch < 1) throw std::invalid_argument("--max-batch must be >= 1");
-  if (max_delay_us < 0 || max_delay_us > 10'000'000) {
-    throw std::invalid_argument("--max-delay-us must be in [0, 10000000]");
-  }
   if (deadline_us < 0 || deadline_us > 3'600'000'000L) {
     throw std::invalid_argument(
         "--deadline-us must be in [0, 3600000000] (0 = no deadline)");
@@ -475,14 +471,12 @@ int cmd_serve(const Args& args, std::istream& in, std::ostream& out) {
 
   serve::ServeOptions sopt;
   sopt.max_batch = static_cast<std::size_t>(max_batch);
-  sopt.max_delay_us = static_cast<std::uint32_t>(max_delay_us);
   sopt.workers = static_cast<unsigned>(workers);
   sopt.shed_policy = shed_policy;
   serve::InferenceServer server(sopt);
   server.registry().install("default", load(model_path));
   out << "serving 'default' v1 (engine " << engine_name << ", max_batch "
-      << max_batch << ", max_delay_us " << max_delay_us << ", workers "
-      << server.worker_count() << ")\n"
+      << max_batch << ", workers " << server.worker_count() << ")\n"
       << "protocol: 'f1,f2,...[;f1,f2,...]' predicts | 'swap <model>' | "
          "'stats' | 'quit'\n";
 
@@ -687,7 +681,7 @@ std::string usage() {
       "           probabilities, soft-vote averages, regression values;\n"
       "           see docs/ARCHITECTURE.md and docs/MODEL_FORMATS.md)\n"
       "  serve    --model <model> [--engine <backend>] [--max-batch N]\n"
-      "           [--max-delay-us N] [--workers N] [--threads N] [--batch N]\n"
+      "           [--workers N] [--threads N] [--batch N]\n"
       "           [--deadline-us N] [--priority high|normal|low]\n"
       "           [--shed-policy reject-new|priority-evict]\n"
       "           long-lived micro-batching server over a stdin line\n"
@@ -695,8 +689,8 @@ std::string usage() {
       "           'swap <model>' hot-swaps, 'stats' prints one JSON metrics\n"
       "           line (health, shed/deadline-miss counters), 'quit' drains\n"
       "           and exits; a request dispatches at once while a worker is\n"
-      "           idle, and --max-delay-us caps how long it waits to coalesce\n"
-      "           while every worker is busy (0 = never wait);\n"
+      "           idle, and requests that queue while every worker is busy\n"
+      "           coalesce into batches of up to --max-batch samples;\n"
       "           --deadline-us bounds each request's end-to-end\n"
       "           latency (0 = none), --priority tags requests for the\n"
       "           admission ladder, --shed-policy picks overload behaviour\n"

@@ -26,8 +26,8 @@ enum class ErrorCode : int {
                          ///< retry_after_us() carries the backoff hint
   kStopped = 3,          ///< submit after (or racing) stop()
   kDeadlineExceeded = 4, ///< the request's deadline expired in the queue
-  kStalled = 5,          ///< a stalled worker/batcher was failed over by
-                         ///< the watchdog while holding this request
+  kStalled = 5,          ///< a stalled worker was failed over by the
+                         ///< watchdog while holding this request
   kExecutionFailed = 6,  ///< the predictor (or batch assembly) threw
 };
 

@@ -70,7 +70,7 @@ void arm(const Arm& arm) {
 
 void arm_seeded(std::uint64_t seed, std::uint32_t stall_us) {
   std::uint64_t state = seed;
-  constexpr Site kFireable[] = {Site::kBatcherForm, Site::kBatcherCoalesce,
+  constexpr Site kFireable[] = {Site::kWorkerForm, Site::kWorkerCoalesce,
                                 Site::kWorkerExecute, Site::kRegistryInstall};
   for (const Site site : kFireable) {
     Arm plan;

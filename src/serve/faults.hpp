@@ -3,7 +3,7 @@
 // The resilience contract of src/serve ("every submitted request resolves
 // to exactly one result or typed error, and the server keeps serving") is
 // only testable if faults can actually happen on demand.  This module
-// plants named *fault points* in the batcher/worker/registry paths; each
+// plants named *fault points* in the worker and registry paths; each
 // point is a single call that is compiled to nothing unless the build
 // enables -DFLINT_FAULTS=ON (the chaos-smoke CI job), so production builds
 // carry zero overhead and zero extra branches.
@@ -12,9 +12,9 @@
 // mid-instruction):
 //
 //   * kStall    — the thread sleeps `stall_us` at the site, in cancellable
-//                 slices, simulating a wedged worker/batcher.  The serve
-//                 watchdog is expected to detect it, fail over the affected
-//                 requests and respawn the stage.
+//                 slices, simulating a wedged worker.  The serve watchdog
+//                 is expected to detect it, fail over the affected requests
+//                 and respawn the worker.
 //   * kThrow    — throws faults::InjectedFault (a std::runtime_error),
 //                 simulating a predictor/stage exception.
 //   * kBadAlloc — throws std::bad_alloc, simulating allocation failure in
@@ -42,8 +42,8 @@ namespace flint::serve::faults {
 /// The fault-point catalog.  Site names (to_string) are stable: tests, the
 /// docs table in docs/ARCHITECTURE.md and the chaos suite refer to them.
 enum class Site : int {
-  kBatcherForm = 0,    ///< batcher: after popping requests, before coalesce
-  kBatcherCoalesce,    ///< batcher: inside batch-buffer assembly
+  kWorkerForm = 0,     ///< worker: after popping requests, before coalesce
+  kWorkerCoalesce,     ///< worker: inside batch-buffer assembly
   kWorkerExecute,      ///< worker: immediately before predict dispatch
   kRegistryInstall,    ///< ModelRegistry::install, before the pointer flip
   kClockNow,           ///< the deadline clock (skew only)
@@ -54,8 +54,8 @@ inline constexpr std::size_t kSiteCount = static_cast<std::size_t>(Site::kCount_
 
 inline const char* to_string(Site site) noexcept {
   switch (site) {
-    case Site::kBatcherForm: return "batcher.form";
-    case Site::kBatcherCoalesce: return "batcher.coalesce";
+    case Site::kWorkerForm: return "worker.form";
+    case Site::kWorkerCoalesce: return "worker.coalesce";
     case Site::kWorkerExecute: return "worker.execute";
     case Site::kRegistryInstall: return "registry.install";
     case Site::kClockNow: return "clock.now";

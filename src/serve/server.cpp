@@ -50,7 +50,7 @@ std::size_t histogram_bucket(std::size_t batch_samples) {
 
 /// Degrade-ladder thresholds over queue pressure (the max of the sample
 /// and request fill fractions).  Pure function of instantaneous pressure,
-/// so tests and metrics() agree with the batcher by construction.
+/// so tests and metrics() agree with the workers by construction.
 int degrade_level_from(std::size_t queued_samples, std::size_t queue_depth,
                        const ServeOptions& options) {
   const double sample_pressure =
@@ -65,6 +65,10 @@ int degrade_level_from(std::size_t queued_samples, std::size_t queue_depth,
   if (pressure >= 0.50) return 1;
   return 0;
 }
+
+/// Backoff hint carried by every shed, rejected-when-full or evicted
+/// request's ServeError.
+constexpr std::uint32_t kRetryAfterUs = 1000;
 
 /// Maps any batch-assembly/execution exception to the typed contract:
 /// ServeError passes through, everything else (predictor throw, injected
@@ -158,10 +162,10 @@ struct InferenceServer::Impl {
   /// A formed micro-batch.  All requests share one predictor snapshot (the
   /// hot-swap invariant) and, unless zero_copy, one coalesced feature
   /// buffer.  On the zero-copy path the single request's own buffer is the
-  /// execution buffer.  Heap-allocated and shared between the executing
-  /// stage and the watchdog; the per-request settled flags make settlement
-  /// exactly-once even when a stalled stage and the watchdog race to
-  /// resolve the same promises.
+  /// execution buffer.  Heap-allocated and shared between the worker that
+  /// formed it and the watchdog; the per-request settled flags make
+  /// settlement exactly-once even when a stalled worker and the watchdog
+  /// race to resolve the same promises.
   struct Batch {
     PredictorPtr predictor;
     std::vector<Request> requests;
@@ -173,11 +177,9 @@ struct InferenceServer::Impl {
   };
   using BatchPtr = std::shared_ptr<Batch>;
 
-  /// One pipeline-stage thread (the batcher or a worker) as the watchdog
-  /// sees it.  `current`/`busy_since_us` form the progress heartbeat: set
-  /// while the stage holds a batch, cleared when it is handed off.  On
-  /// fail-over the whole slot moves to `zombies` (the stalled thread still
-  /// references it) and a fresh slot takes its place.
+  /// One worker thread as the watchdog sees it.  On fail-over the whole
+  /// slot moves to `zombies` (the stalled thread still references it) and
+  /// a fresh slot takes its place at the same index.
   struct Slot {
     std::thread thread;
     std::atomic<bool> abandoned{false};  ///< failed over; exit when seen
@@ -192,15 +194,13 @@ struct InferenceServer::Impl {
     try {
       {
         core::MutexLock sl(slots_mutex);
-        // Heartbeat tables are sized before any stage thread exists.
+        // Heartbeat tables are sized before any worker thread exists.
         worker_current.resize(n_workers);
         worker_busy_since_us.assign(n_workers, 0);
-        batcher_slot = std::make_unique<Slot>();
-        spawn_batcher_locked(batcher_slot.get());
         worker_slots.reserve(n_workers);
         for (unsigned i = 0; i < n_workers; ++i) {
           worker_slots.push_back(std::make_unique<Slot>());
-          spawn_worker_locked(worker_slots.back().get());
+          spawn_worker_locked(i);
         }
       }
       if (options.stall_timeout_us > 0) {
@@ -214,46 +214,30 @@ struct InferenceServer::Impl {
     }
   }
 
-  void spawn_batcher_locked(Slot* slot) FLINT_REQUIRES(slots_mutex) {
-    slot->thread = std::thread([this, slot] {
-      batcher_loop(slot);
+  void spawn_worker_locked(std::size_t index) FLINT_REQUIRES(slots_mutex) {
+    Slot* slot = worker_slots[index].get();
+    slot->thread = std::thread([this, slot, index] {
+      worker_loop(slot, index);
       slot->done.store(true);
     });
   }
 
-  void spawn_worker_locked(Slot* slot) FLINT_REQUIRES(slots_mutex) {
-    slot->thread = std::thread([this, slot] {
-      worker_loop(slot);
-      slot->done.store(true);
-    });
-  }
+  // -- workers ------------------------------------------------------------
 
-  // -- batcher ------------------------------------------------------------
-
-  void batcher_loop(Slot* slot) {
+  /// An idle worker waits on the request queue, sweeps expired requests,
+  /// forms a batch from the head request and wakes another idle worker if
+  /// work is still queued, so no worker sleeps while work waits.  On
+  /// shutdown the workers drain the queue, then exit.
+  void worker_loop(Slot* slot, std::size_t index) {
     core::UniqueLock lk(queue_mutex);
     for (;;) {
-      if (slot->abandoned.load()) {
-        lk.unlock();
-        return;  // failed over; the replacement owns the queue now
-      }
       // Condition predicates are written as explicit loops in the locked
       // scope (not wait(lock, lambda)) so the thread-safety analysis sees
       // every guarded read under the lock it requires.
-      while (!stopping && queue.empty() && !slot->abandoned.load()) {
-        queue_cv.wait(lk);
-      }
-      if (slot->abandoned.load()) {
-        lk.unlock();
-        return;
-      }
-      if (queue.empty()) {
-        if (stopping) break;
-        continue;
-      }
-      // Deadline sweep before any flush decision: an expired-in-queue
-      // request is failed typed, never executed.  The sweep also
-      // recomputes earliest_deadline exactly.
+      while (!stopping && queue.empty()) queue_cv.wait(lk);
+      if (queue.empty()) break;  // stopping, and the queue is drained
+      // Deadline sweep before formation: an expired-in-queue request is
+      // failed typed, never executed.
       std::vector<Request> expired = sweep_expired_locked();
       if (!expired.empty()) {
         lk.unlock();
@@ -261,93 +245,35 @@ struct InferenceServer::Impl {
         lk.lock();
         continue;  // re-evaluate with fresh queue state
       }
+      // Degrade ladder, step 2: force larger batches — amortize per-batch
+      // overhead harder while the queue is drowning.
       const int level =
           degrade_level_from(queued_samples, queue.size(), options);
-      // Degrade ladder, step 1+2a: under pressure the delay budget shrinks
-      // geometrically (4x per level) — a deep queue forms full batches
-      // with little extra waiting.
-      const std::uint32_t eff_delay = options.max_delay_us >> (2 * level);
-      // Step 2b: force larger batches — amortize per-batch overhead harder
-      // while the queue is drowning.
       const std::size_t eff_max_batch =
           level >= 2 ? options.max_batch * 2 : options.max_batch;
-      // Work-conserving flush: while a worker is idle (free_workers > 0)
-      // the queued work dispatches at once.  Only while every worker is
-      // busy does a forming batch wait — for a full block, the oldest
-      // request's delay budget, the tightest queued deadline, or a worker
-      // freeing up, whichever first.  A single request that already fills
-      // the block skips the wait.  On shutdown the wait is skipped so the
-      // queue drains immediately.
-      if (!stopping && queued_samples < eff_max_batch && eff_delay > 0 &&
-          free_workers <= 0) {
-        bool level_changed = false;
-        while (!stopping && !queue.empty() &&
-               queued_samples < eff_max_batch && free_workers <= 0 &&
-               !slot->abandoned.load()) {
-          // A pressure change mid-wait re-enters the cycle: the ladder's
-          // tighter (or relaxed) delay applies now, not after this wait.
-          if (degrade_level_from(queued_samples, queue.size(), options) !=
-              level) {
-            level_changed = true;
-            break;
-          }
-          Clock::time_point flush_at =
-              queue.front().enqueued + std::chrono::microseconds(eff_delay);
-          // Respect the tightest queued deadline, with headroom covering
-          // wakeup overshoot so the request makes dispatch instead of
-          // being swept at the boundary.
-          constexpr auto kDeadlineFlushHeadroom =
-              std::chrono::milliseconds(10);
-          if (earliest_deadline != Clock::time_point::max() &&
-              earliest_deadline - kDeadlineFlushHeadroom < flush_at) {
-            flush_at = earliest_deadline - kDeadlineFlushHeadroom;
-          }
-          if (faults::now() >= flush_at) break;
-          queue_cv.wait_until(lk, flush_at);
-        }
-        if (level_changed || queue.empty()) continue;
-        expired = sweep_expired_locked();
-        if (!expired.empty()) {
-          lk.unlock();
-          fail_expired(std::move(expired));
-          lk.lock();
-          continue;
-        }
-        if (queue.empty()) continue;
-      }
       BatchPtr batch = form_batch_locked(eff_max_batch);
+      const bool more = !queue.empty();
       lk.unlock();
-      assemble_and_commit(slot, batch);
+      if (more) queue_cv.notify_one();
+      if (!run_batch(slot, index, batch)) return;  // failed over mid-batch
       lk.lock();
-    }
-    lk.unlock();
-    if (!slot->abandoned.load()) {
-      {
-        core::MutexLock bl(batch_mutex);
-        batcher_done = true;
-      }
-      batch_cv.notify_all();
     }
   }
 
-  /// Removes every request whose deadline has passed and recomputes
-  /// earliest_deadline over the survivors.  Caller fails the returned
-  /// requests outside the lock.
+  /// Removes every request whose deadline has passed.  Caller fails the
+  /// returned requests outside the lock.
   std::vector<Request> sweep_expired_locked() FLINT_REQUIRES(queue_mutex) {
     std::vector<Request> expired;
     const Clock::time_point now = faults::now();
-    Clock::time_point earliest = Clock::time_point::max();
     for (auto it = queue.begin(); it != queue.end();) {
       if (it->deadline < now) {
         queued_samples -= it->n_samples;
         expired.push_back(std::move(*it));
         it = queue.erase(it);
       } else {
-        earliest = std::min(earliest, it->deadline);
         ++it;
       }
     }
-    earliest_deadline = earliest;
     return expired;
   }
 
@@ -368,7 +294,7 @@ struct InferenceServer::Impl {
   /// Pops the head request plus every queued neighbor that shares its
   /// predictor snapshot, up to `eff_max_batch` samples.  A request larger
   /// than that still forms a (single-request) batch — requests are never
-  /// split.  The batch takes one worker credit.  Caller holds queue_mutex.
+  /// split.  Caller holds queue_mutex.
   BatchPtr form_batch_locked(std::size_t eff_max_batch)
       FLINT_REQUIRES(queue_mutex) {
     BatchPtr batch = std::make_shared<Batch>();
@@ -390,14 +316,13 @@ struct InferenceServer::Impl {
       core::MutexLock bm(batch->mu);
       batch->settled.assign(batch->requests.size(), 0);
     }
-    --free_workers;
     return batch;
   }
 
   /// Builds the contiguous execution buffer.  One-request batches run
   /// zero-copy on the request's own storage.
   static void coalesce(Batch& batch) {
-    faults::hit(faults::Site::kBatcherCoalesce);
+    faults::hit(faults::Site::kWorkerCoalesce);
     if (batch.requests.size() == 1) {
       batch.zero_copy = true;
       return;
@@ -411,117 +336,40 @@ struct InferenceServer::Impl {
     }
   }
 
-  /// Coalesces a formed batch under watchdog observation and commits it to
-  /// the batch queue.  An assembly fault fails the batch typed and hands
-  /// its worker credit back; a fail-over that lands mid-assembly (slot
-  /// abandoned) drops the commit — the watchdog already resolved the
-  /// requests and returned the credit.
-  void assemble_and_commit(Slot* slot, const BatchPtr& batch) {
+  /// Coalesces and executes a formed batch under this worker's watchdog
+  /// heartbeat.  Returns false when the watchdog failed the worker over
+  /// mid-batch: it already resolved the requests, the slot no longer owns
+  /// `index`, and the thread must exit.
+  bool run_batch(Slot* slot, std::size_t index, const BatchPtr& batch) {
     {
       core::MutexLock sl(slots_mutex);
-      batcher_current = batch;
-      batcher_busy_since_us = to_us(faults::now());
+      worker_current[index] = batch;
+      worker_busy_since_us[index] = to_us(faults::now());
     }
     bool assembled = false;
     try {
-      faults::hit(faults::Site::kBatcherForm);
+      faults::hit(faults::Site::kWorkerForm);
       coalesce(*batch);
       assembled = true;
     } catch (...) {
       fail_batch(*batch, as_typed_execution_error(std::current_exception()));
     }
-    bool live = false;
-    {
-      core::MutexLock sl(slots_mutex);
-      // If the watchdog abandoned this slot it already cleared the
-      // heartbeat and the replacement may have registered its own batch —
-      // a zombie must not touch the shared batcher state.
-      live = !slot->abandoned.load();
-      if (live) {
-        batcher_current.reset();
-        batcher_busy_since_us = 0;
-        if (assembled) {
-          core::MutexLock bl(batch_mutex);
-          batches.push_back(batch);
-        }
-      }
-    }
-    if (!live) {
-      // Failed over mid-batch: the watchdog resolved the requests already;
-      // this is a settle-guarded no-op backstop.
-      if (assembled) {
-        fail_batch(*batch,
-                   std::make_exception_ptr(ServeError(
-                       ErrorCode::kStalled, "batcher failed over mid-batch")));
-      }
-    } else if (assembled) {
-      batch_cv.notify_one();
-    } else {
-      // The failed batch never reaches a worker.  The heartbeat is clear,
-      // so no fail-over can race this return.
-      core::MutexLock ql(queue_mutex);
-      ++free_workers;
-    }
-  }
-
-  // -- workers ------------------------------------------------------------
-
-  void worker_loop(Slot* slot) {
-    const std::size_t my_index = worker_index(slot);
-    for (;;) {
-      BatchPtr batch;
-      {
-        core::UniqueLock bl(batch_mutex);
-        while (!batcher_done && batches.empty() && !slot->abandoned.load()) {
-          batch_cv.wait(bl);
-        }
-        if (slot->abandoned.load()) return;
-        if (batches.empty()) return;  // batcher done and nothing left
-        batch = std::move(batches.front());
-        batches.pop_front();
-      }
-      {
-        core::MutexLock sl(slots_mutex);
-        worker_current[my_index] = batch;
-        worker_busy_since_us[my_index] = to_us(faults::now());
-      }
-      execute(*batch);
-      {
-        core::MutexLock sl(slots_mutex);
-        // An abandoned (failed-over) worker no longer owns its index: the
-        // watchdog cleared it and a replacement may have re-registered.
-        if (slot->abandoned.load()) return;
-        worker_current[my_index].reset();
-        worker_busy_since_us[my_index] = 0;
-      }
-      // Batch finished (run, failed or expired): return its credit.  With
-      // the heartbeat clear no fail-over can return it twice.  Wake the
-      // batcher only when work is queued that this credit can dispatch.
-      bool wake_batcher = false;
-      {
-        core::MutexLock ql(queue_mutex);
-        ++free_workers;
-        wake_batcher = free_workers > 0 && !queue.empty();
-      }
-      if (wake_batcher) queue_cv.notify_one();
-    }
-  }
-
-  /// The heartbeat arrays are indexed by worker slot position; a respawn
-  /// reuses the slot's index, so a slot pointer maps to its index by
-  /// identity scan (cold path: twice per batch, tiny N).
-  std::size_t worker_index(Slot* slot) {
+    if (assembled) execute(*batch);
     core::MutexLock sl(slots_mutex);
-    for (std::size_t i = 0; i < worker_slots.size(); ++i) {
-      if (worker_slots[i].get() == slot) return i;
-    }
-    return 0;  // unreachable: a live worker is always in the table
+    // An abandoned (failed-over) worker no longer owns its index: the
+    // watchdog cleared it and a replacement may have re-registered.
+    if (slot->abandoned.load()) return false;
+    worker_current[index].reset();
+    worker_busy_since_us[index] = 0;
+    return true;
   }
 
   void execute(Batch& batch) {
     // Pre-execution deadline sweep: a request that expired while its batch
-    // sat in the batch queue is failed typed, never executed late.  Once
-    // the predict below starts, the batch runs to completion.
+    // was being formed (say, a stall at worker.form with the watchdog off)
+    // is failed typed, never executed late; a batch the watchdog already
+    // settled is skipped.  Once the predict below starts, the batch runs
+    // to completion.
     {
       const Clock::time_point now = faults::now();
       core::MutexLock bm(batch.mu);
@@ -551,7 +399,7 @@ struct InferenceServer::Impl {
           batch.requests[i].promise.set_exception(error);
         }
       }
-      if (!any_live) return;  // whole batch expired: skip the predict
+      if (!any_live) return;  // nothing left to run: skip the predict
     }
     std::vector<std::int32_t> out;
     try {
@@ -639,9 +487,6 @@ struct InferenceServer::Impl {
       slots_cv.wait_for(sl, period);
       if (watchdog_stop) break;
       const std::int64_t now = to_us(faults::now());
-      if (is_stalled(batcher_busy_since_us, now)) {
-        fail_over_batcher_locked();
-      }
       for (std::size_t i = 0; i < worker_slots.size(); ++i) {
         if (is_stalled(worker_busy_since_us[i], now)) {
           fail_over_worker_locked(i);
@@ -666,41 +511,8 @@ struct InferenceServer::Impl {
                static_cast<std::int64_t>(options.stall_timeout_us);
   }
 
-  /// A stage is only failed over while busy, so it holds the credit of the
-  /// batch it stalled in.  The zombie never returns it; the fail-over does
-  /// on the replacement's behalf and wakes the batcher, which may have
-  /// work waiting for a worker.
-  void restore_stalled_credit_locked() FLINT_REQUIRES(slots_mutex) {
-    {
-      core::MutexLock ql(queue_mutex);
-      ++free_workers;
-    }
-    queue_cv.notify_all();
-  }
-
-  void fail_over_batcher_locked() FLINT_REQUIRES(slots_mutex) {
-    BatchPtr stranded = std::move(batcher_current);
-    batcher_current.reset();
-    batcher_busy_since_us = 0;
-    batcher_slot->abandoned.store(true);
-    zombies.push_back(std::move(batcher_slot));
-    batcher_slot = std::make_unique<Slot>();
-    spawn_batcher_locked(batcher_slot.get());
-    restore_stalled_credit_locked();
-    // Counters before settlement: a client that observes its kStalled
-    // error also observes the restart that produced it.
-    {
-      core::MutexLock ml(metrics_mutex);
-      ++metrics.batcher_restarts;
-    }
-    if (stranded) {
-      fail_batch(*stranded,
-                 std::make_exception_ptr(ServeError(
-                     ErrorCode::kStalled,
-                     "batcher stalled mid-batch; failed over and respawned")));
-    }
-  }
-
+  /// Abandons the stalled worker at `index` and respawns a replacement in
+  /// its slot, which starts by checking the request queue.
   void fail_over_worker_locked(std::size_t index) FLINT_REQUIRES(slots_mutex) {
     BatchPtr stranded = std::move(worker_current[index]);
     worker_current[index].reset();
@@ -708,11 +520,12 @@ struct InferenceServer::Impl {
     worker_slots[index]->abandoned.store(true);
     zombies.push_back(std::move(worker_slots[index]));
     worker_slots[index] = std::make_unique<Slot>();
-    spawn_worker_locked(worker_slots[index].get());
-    restore_stalled_credit_locked();
+    spawn_worker_locked(index);
+    // Counters before settlement: a client that observes its kStalled
+    // error also observes the restart that produced it.
     {
       core::MutexLock ml(metrics_mutex);
-      ++metrics.worker_restarts;  // before settlement, as above
+      ++metrics.worker_restarts;
     }
     if (stranded) {
       fail_batch(*stranded,
@@ -726,10 +539,10 @@ struct InferenceServer::Impl {
   /// outside queue_mutex.
   void fail_victims(std::vector<Request> victims) {
     if (victims.empty()) return;
-    const auto error = std::make_exception_ptr(ServeError(
-        ErrorCode::kOverloaded,
-        "evicted from the queue by higher-priority work",
-        std::max<std::uint32_t>(1000, options.max_delay_us * 2)));
+    const auto error = std::make_exception_ptr(
+        ServeError(ErrorCode::kOverloaded,
+                   "evicted from the queue by higher-priority work",
+                   kRetryAfterUs));
     {
       core::MutexLock ml(metrics_mutex);
       metrics.evicted += victims.size();
@@ -759,19 +572,6 @@ struct InferenceServer::Impl {
     if (watchdog_thread.joinable()) watchdog_thread.join();
     // Wake any injected stall: shutdown never waits out a stall budget.
     faults::cancel_stalls();
-    std::thread batcher;
-    {
-      core::MutexLock slk(slots_mutex);
-      if (batcher_slot) batcher = std::move(batcher_slot->thread);
-    }
-    // joinable() guards the partially-constructed case (ctor cleanup).
-    if (batcher.joinable()) {
-      batcher.join();  // drains the request queue into final batches
-    } else {
-      core::MutexLock bl(batch_mutex);
-      batcher_done = true;  // no batcher ever ran to set it
-    }
-    batch_cv.notify_all();
     std::vector<std::thread> threads;
     {
       core::MutexLock slk(slots_mutex);
@@ -782,8 +582,9 @@ struct InferenceServer::Impl {
         threads.push_back(std::move(zombie->thread));
       }
     }
+    // joinable() guards the partially-constructed case (ctor cleanup).
     for (auto& t : threads) {
-      if (t.joinable()) t.join();  // drain the batch queue; reap fail-overs
+      if (t.joinable()) t.join();  // workers drain the queue; reap fail-overs
     }
     joined = true;
   }
@@ -793,39 +594,21 @@ struct InferenceServer::Impl {
 
   // core::Mutex + condition_variable_any (not std::mutex/_variable): the
   // annotated wrapper is what makes these GUARDED_BY proofs checkable —
-  // see core/thread_annotations.hpp.
+  // see core/thread_annotations.hpp.  Lock order: slots_mutex, then a
+  // batch's mu, then metrics_mutex.  queue_mutex nests only the mu of a
+  // batch still private to the worker forming it.
   core::Mutex queue_mutex;
   std::condition_variable_any queue_cv;
   std::deque<Request> queue FLINT_GUARDED_BY(queue_mutex);
   std::size_t queued_samples FLINT_GUARDED_BY(queue_mutex) = 0;
-  /// Tightest deadline across the queue; may run stale-early after an
-  /// eviction or batch formation (causing at worst a premature flush,
-  /// never a late sweep) and is recomputed exactly by every sweep.
-  Clock::time_point earliest_deadline FLINT_GUARDED_BY(queue_mutex) =
-      Clock::time_point::max();
   bool stopping FLINT_GUARDED_BY(queue_mutex) = false;
-  /// Workers minus batches formed but not yet finished by a live worker:
-  /// > 0 means a worker is idle with no batch queued for it, so the
-  /// batcher dispatches at once.  Negative while batches queue behind busy
-  /// workers.  A formed batch takes a credit; finishing it (or failing its
-  /// assembly) returns it; a fail-over returns the stalled stage's credit
-  /// and its zombie never does.  Lock order: slots_mutex may be held when
-  /// taking queue_mutex; queue_mutex is never taken under batch_mutex.
-  std::ptrdiff_t free_workers FLINT_GUARDED_BY(queue_mutex) = n_workers;
 
-  core::Mutex batch_mutex;
-  std::condition_variable_any batch_cv;
-  std::deque<BatchPtr> batches FLINT_GUARDED_BY(batch_mutex);
-  bool batcher_done FLINT_GUARDED_BY(batch_mutex) = false;
-
-  // Watchdog-visible pipeline state: the stage slots, their progress
-  // heartbeats, and the fail-over zombie list.
+  // Watchdog-visible pool state: the worker slots, their progress
+  // heartbeats (set while a worker holds a batch, cleared when it is
+  // done), and the fail-over zombie list.
   core::Mutex slots_mutex;
   std::condition_variable_any slots_cv;
-  std::unique_ptr<Slot> batcher_slot FLINT_GUARDED_BY(slots_mutex);
   std::vector<std::unique_ptr<Slot>> worker_slots FLINT_GUARDED_BY(slots_mutex);
-  BatchPtr batcher_current FLINT_GUARDED_BY(slots_mutex);
-  std::int64_t batcher_busy_since_us FLINT_GUARDED_BY(slots_mutex) = 0;
   std::vector<BatchPtr> worker_current FLINT_GUARDED_BY(slots_mutex);
   std::vector<std::int64_t> worker_busy_since_us FLINT_GUARDED_BY(slots_mutex);
   std::vector<std::unique_ptr<Slot>> zombies FLINT_GUARDED_BY(slots_mutex);
@@ -932,12 +715,6 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
         now + std::chrono::microseconds(submit_options.deadline_us);
   }
 
-  // Backoff hint for shed work, scaled by how deep the degrade ladder is.
-  const auto retry_hint = [&](int level) {
-    return std::max<std::uint32_t>(
-        1000, options_.max_delay_us * static_cast<std::uint32_t>(1 + level));
-  };
-
   std::vector<Impl::Request> victims;
   {
     core::UniqueLock lk(impl_->queue_mutex);
@@ -958,7 +735,7 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
               "request of " + std::to_string(n_samples) +
                   " samples exceeds sample_capacity " +
                   std::to_string(options_.sample_capacity),
-              retry_hint(level))),
+              kRetryAfterUs)),
           /*is_shed=*/true);
     }
     // Degrade ladder, step 3: at the top of the ladder low-priority work
@@ -969,7 +746,7 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
                         ErrorCode::kOverloaded,
                         "shedding low-priority work (degrade level " +
                             std::to_string(level) + ")",
-                        retry_hint(level))),
+                        kRetryAfterUs)),
                     /*is_shed=*/true);
     }
     bool over_requests = impl_->queue.size() >= options_.queue_capacity;
@@ -1003,14 +780,14 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
             ErrorCode::kQueueFull,
             "request queue full (" + std::to_string(options_.queue_capacity) +
                 " requests)",
-            retry_hint(level)));
+            kRetryAfterUs));
       } else {
         error = std::make_exception_ptr(ServeError(
             ErrorCode::kOverloaded,
             "sample capacity exhausted (" +
                 std::to_string(options_.sample_capacity) +
                 " samples queued)",
-            retry_hint(level)));
+            kRetryAfterUs));
       }
       auto rejected_future = reject(std::move(error), /*is_shed=*/true);
       impl_->fail_victims(std::move(victims));
@@ -1021,8 +798,6 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
     request.promise = std::move(promise);
     impl_->queue.push_back(std::move(request));
     impl_->queued_samples += n_samples;
-    impl_->earliest_deadline =
-        std::min(impl_->earliest_deadline, impl_->queue.back().deadline);
     const std::size_t depth = impl_->queue.size();
     lk.unlock();
     impl_->queue_cv.notify_one();
@@ -1101,8 +876,6 @@ void add_serve_metrics(harness::BenchJson& json, const ServeMetrics& metrics,
   json.set(prefix + "evicted", static_cast<std::int64_t>(metrics.evicted));
   json.set(prefix + "worker_restarts",
            static_cast<std::int64_t>(metrics.worker_restarts));
-  json.set(prefix + "batcher_restarts",
-           static_cast<std::int64_t>(metrics.batcher_restarts));
   json.set(prefix + "faults_injected",
            static_cast<std::int64_t>(metrics.faults_injected));
   json.set(prefix + "degrade_level", metrics.degrade_level);
@@ -1146,7 +919,6 @@ std::string serve_metrics_json(const ServeMetrics& metrics) {
   field("shed", std::to_string(metrics.shed));
   field("evicted", std::to_string(metrics.evicted));
   field("worker_restarts", std::to_string(metrics.worker_restarts));
-  field("batcher_restarts", std::to_string(metrics.batcher_restarts));
   field("faults_injected", std::to_string(metrics.faults_injected));
   field("max_queue_depth", std::to_string(metrics.max_queue_depth));
   field("queued_samples", std::to_string(metrics.queued_samples));

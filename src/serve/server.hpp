@@ -5,31 +5,31 @@
 // (docs/BENCHMARKS.md), but a serving workload arrives as many tiny
 // concurrent requests.  InferenceServer closes that gap:
 //
-//   submit() ──> MPSC request queue ──> batcher ──> batch queue ──> workers
-//                (mutex + cv)           (dynamic      (mutex + cv)  (drain via
-//                                       micro-batch)               Predictor)
-//                      ▲ admission control        ▲ watchdog (stall detection,
-//                        + deadline sweep           fail-over, respawn)
+//   submit() ──> MPSC request queue ──> worker pool (an idle worker sweeps,
+//                (mutex + cv)           forms, coalesces and executes its
+//                                       own micro-batch via Predictor)
+//                      ▲ admission control   ▲ watchdog (stall detection,
+//                                              fail-over, respawn)
 //
-//   * the batcher is work-conserving: while a worker is idle (no formed
-//     batch already queued for it) queued work flushes at once, so an
-//     isolated request never waits for company.  Only while every worker
-//     is busy does a forming batch wait, and it flushes when `max_batch`
-//     samples are queued, when the oldest queued request has waited
-//     `max_delay_us`, when the tightest per-request deadline in the queue
-//     is reached, or when a worker goes idle — whichever comes first.
+//   * workers form their own batches: an idle worker waits on the request
+//     queue, sweeps expired requests, takes the head request plus its
+//     queued same-snapshot neighbours up to `max_batch` samples, wakes
+//     another idle worker if work is still queued, then executes.  So an
+//     isolated request dispatches as soon as a worker is idle and never
+//     waits for company; requests that arrive while every worker is busy
+//     queue, and the next worker to free up takes them as one batch.
 //     Batching thus costs latency only under load.  A batch holding a
 //     single request executes zero-copy, directly on that request's own
 //     buffer;
 //   * per-request deadlines (SubmitOptions::deadline_us) bound time spent
-//     in the queue: a request whose deadline expires before dispatch is
-//     swept and failed with ErrorCode::kDeadlineExceeded instead of being
-//     executed late (a dispatched batch always runs to completion);
+//     in the queue: a request whose deadline expires before a worker takes
+//     it is swept and failed with ErrorCode::kDeadlineExceeded instead of
+//     being executed late (a dispatched batch always runs to completion);
 //   * admission control bounds both queued requests (queue_capacity) and
 //     queued samples (sample_capacity — a single huge request cannot buy
 //     unbounded memory), sheds lowest-priority work first under
 //     ShedPolicy::kPriorityEvict, and under sustained overload walks a
-//     degrade ladder (shrink max_delay_us -> force larger batches -> shed
+//     degrade ladder (report degraded -> force larger batches -> shed
 //     low-priority admissions) driven by queue pressure;
 //   * every submit() returns a std::future carrying either the predictions
 //     or a typed error: std::invalid_argument for malformed requests
@@ -42,8 +42,8 @@
 //     under load can never produce a result from a half-swapped model; a
 //     failed install (verification, allocation, injected fault) leaves the
 //     last-good entry serving;
-//   * a watchdog thread monitors batcher/worker progress: a stage stuck in
-//     one batch past stall_timeout_us is failed over — only the affected
+//   * a watchdog thread monitors worker progress: a worker stuck in one
+//     batch past stall_timeout_us is failed over — only the affected
 //     requests error (ErrorCode::kStalled), a replacement thread respawns,
 //     and the stalled thread is reaped when it comes back.  Health is a
 //     healthy/degraded/draining state machine exposed via metrics();
@@ -52,9 +52,9 @@
 //     chaos suite tests/test_resilience.cpp holds the resilience contract:
 //     no request is ever silently dropped — every accepted future resolves
 //     exactly once, to a result or one typed error;
-//   * stop() (and the destructor) drains: queued requests are flushed into
-//     final batches and completed (or deadline-swept, typed), never
-//     dropped.
+//   * stop() (and the destructor) drains: the workers keep forming batches
+//     until the queue is empty, so queued requests are completed (or
+//     deadline-swept, typed), never dropped.
 //
 // Metrics (request/batch/shed/deadline/restart counters, queue depth and
 // pressure, health state, a log2 batch-size histogram and p50/p99/max
@@ -165,16 +165,13 @@ inline const char* to_string(HealthState s) noexcept {
 
 /// Batching/pool/resilience knobs of an InferenceServer.
 struct ServeOptions {
-  /// Flush a forming batch once this many samples are queued (a single
-  /// request at or beyond it flushes immediately).
+  /// Most samples a worker takes into one batch.  A worker never waits to
+  /// fill it: it takes what is queued when it frees up, so batches grow
+  /// only while every worker is busy.  A single request at or beyond the
+  /// bound forms a batch of its own (requests are never split), and
+  /// max_batch = 1 makes every request its own batch.  The degrade ladder
+  /// doubles the effective value under queue pressure.
   std::size_t max_batch = 1024;
-  /// The longest a request waits to coalesce while every worker is busy:
-  /// a forming batch flushes once its oldest request has waited this long,
-  /// even if not full.  A request that finds a worker idle dispatches at
-  /// once regardless.  0 never waits: each flush takes only what is
-  /// already queued (max_batch = 1 makes every request its own batch).
-  /// The degrade ladder shrinks the effective value under queue pressure.
-  std::uint32_t max_delay_us = 200;
   /// Batch-execution worker threads; 0 means available_parallelism().
   unsigned workers = 1;
   /// submit() rejects (ErrorCode::kQueueFull) beyond this many queued
@@ -186,22 +183,21 @@ struct ServeOptions {
   std::size_t sample_capacity = std::size_t{1} << 20;
   /// What to do when a bound is hit (see ShedPolicy).
   ShedPolicy shed_policy = ShedPolicy::kRejectNew;
-  /// Watchdog fail-over threshold: a batcher/worker stuck in one batch for
-  /// longer than this is failed over and respawned.  0 disables the
-  /// watchdog.  Keep generous: it must only ever fire on a genuinely
-  /// wedged stage, not on a slow batch.
+  /// Watchdog fail-over threshold: a worker stuck in one batch for longer
+  /// than this is failed over and respawned.  0 disables the watchdog.
+  /// Keep generous: it must only ever fire on a genuinely wedged worker,
+  /// not on a slow batch.
   std::uint32_t stall_timeout_us = 10'000'000;
 };
 
 /// Per-request submit options (deadline + priority class).
 struct SubmitOptions {
   /// Queue-time budget in microseconds, relative to submit(); 0 = none.
-  /// A request still waiting (request queue or batch queue) when the
-  /// budget expires is swept and failed with ErrorCode::kDeadlineExceeded;
-  /// once a worker begins executing its batch the request runs to
-  /// completion even if the result lands after the deadline.  The batcher
-  /// flushes a forming batch early enough (small fixed headroom) for the
-  /// tightest queued deadline to make dispatch.
+  /// A request still queued when the budget expires is failed with
+  /// ErrorCode::kDeadlineExceeded, never executed: every worker sweeps the
+  /// queue before it forms a batch, so the failure lands when a worker
+  /// next frees up.  Once a worker has taken the request into its batch
+  /// it runs to completion even if the result lands after the deadline.
   std::uint64_t deadline_us = 0;
   Priority priority = Priority::kNormal;
 };
@@ -234,7 +230,6 @@ struct ServeMetrics {
   std::uint64_t evicted = 0;           ///< accepted, then displaced by
                                        ///< higher-priority work
   std::uint64_t worker_restarts = 0;   ///< watchdog worker fail-overs
-  std::uint64_t batcher_restarts = 0;  ///< watchdog batcher fail-overs
   std::uint64_t faults_injected = 0;   ///< process-wide faults fired
                                        ///< (FLINT_FAULTS builds; else 0)
   std::size_t max_queue_depth = 0;     ///< request-queue high-water mark
@@ -253,7 +248,7 @@ struct ServeMetrics {
 /// producer threads.
 class InferenceServer {
  public:
-  /// Starts the batcher, worker and watchdog threads immediately.  Models
+  /// Starts the worker and watchdog threads immediately.  Models
   /// are installed through registry(); submits before the first install are
   /// rejected with a typed error on the future.
   explicit InferenceServer(const ServeOptions& options = {});
@@ -278,9 +273,9 @@ class InferenceServer {
       std::string_view model = {},
       const SubmitOptions& submit_options = {});
 
-  /// Drains every queued request into final batches and completes them
-  /// (deadline-expired requests are swept with their typed error), then
-  /// joins all threads.  Idempotent; implied by the destructor.  Requests
+  /// Lets the workers drain every queued request into final batches and
+  /// complete them (deadline-expired requests are swept with their typed
+  /// error), then joins all threads.  Idempotent; implied by the destructor.  Requests
   /// submitted after (or concurrently with) stop may be rejected with
   /// ErrorCode::kStopped, but a request whose submit() returned an
   /// accepting future is always resolved — result or typed error, exactly

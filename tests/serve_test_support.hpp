@@ -14,9 +14,9 @@
 namespace flint::serve::testing {
 
 /// Delegating predictor whose batches block until open() — parks a worker
-/// deterministically.  With every worker parked the batcher has no idle
-/// worker to dispatch to, so requests submitted meanwhile provably stay in
-/// the request queue (up to max_delay_us, a full block or a deadline).
+/// deterministically.  Workers form their own batches, so with every
+/// worker parked requests submitted meanwhile provably stay in the request
+/// queue until a worker frees up.
 class GatePredictor : public predict::Predictor<float> {
  public:
   explicit GatePredictor(PredictorPtr inner) : inner_(std::move(inner)) {

@@ -164,9 +164,9 @@ TEST_F(CliWorkflow, ServeLineProtocol) {
                                "1,2;1,2,3\n" +
                                "quit\r\n";
   auto serve = run_cli_with_input(
-      {"serve", "--model", model_, "--engine", "encoded", "--max-delay-us",
-       "100", "--workers", "2", "--deadline-us", "30000000", "--priority",
-       "high", "--shed-policy", "priority-evict"},
+      {"serve", "--model", model_, "--engine", "encoded", "--workers", "2",
+       "--deadline-us", "30000000", "--priority", "high", "--shed-policy",
+       "priority-evict"},
       protocol);
   ASSERT_EQ(serve.code, 0) << serve.err;
   EXPECT_NE(serve.out.find("serving 'default' v1"), std::string::npos)

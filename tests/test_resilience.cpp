@@ -171,21 +171,13 @@ TEST_F(ResilienceFixture, GenerousDeadlineSucceeds) {
   EXPECT_EQ(m.completed, 1u);
 }
 
-// The tightest queued deadline drives the flush: with the only worker
-// parked (no idle dispatch) and a 30s max_delay, a deadline-carrying
-// request still leaves the request queue within its budget, and the
-// no-deadline request coalesced with it rides along in the same batch.
-//
-// The flush lands kDeadlineFlushHeadroom (10ms) ahead of the deadline, but
-// the batch then waits for the parked worker, and whether the test opens
-// the gate inside that window is up to scheduling.  So the request may
-// still miss its deadline — but only at the worker's pre-execution sweep.
-// A flush that came late (after the deadline) is swept from the request
-// queue instead and reports "before dispatch", which fails this test.
-TEST_F(ResilienceFixture, TightestDeadlineDrivesFlush) {
+// Workers sweep the queue before they form a batch.  Behind the parked
+// single worker, a request whose deadline passes while it is queued fails
+// "before dispatch" as soon as the worker frees up, while its no-deadline
+// neighbour and a request whose deadline is still live coalesce into that
+// worker's next batch and succeed.
+TEST_F(ResilienceFixture, ExpiredInQueueSweptWhenWorkerFrees) {
   ServeOptions opt;
-  opt.max_batch = 1u << 20;
-  opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
@@ -194,44 +186,41 @@ TEST_F(ResilienceFixture, TightestDeadlineDrivesFlush) {
   auto bait = server.submit(rows_from(0, 1), 1);
   ASSERT_TRUE(gate->wait_entered());
   auto no_deadline = server.submit(rows_from(0, 2), 2);
-  SubmitOptions sopt;
-  sopt.deadline_us = 200'000;  // 200ms << 30s
-  auto with_deadline = server.submit(rows_from(10, 2), 2, {}, sopt);
-  // Poll tightly so the gate opens as soon as the flush is visible.
-  const auto give_up =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  while (server.metrics().queued_samples != 0 &&
-         std::chrono::steady_clock::now() < give_up) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  EXPECT_EQ(server.metrics().queued_samples, 0u);  // flushed, not 30s later
+  SubmitOptions tight;
+  tight.deadline_us = 20'000;
+  auto doomed = server.submit(rows_from(5, 2), 2, {}, tight);
+  SubmitOptions loose;
+  loose.deadline_us = 30'000'000;
+  auto live = server.submit(rows_from(10, 2), 2, {}, loose);
+  // Well past the tight deadline: nothing has left the queue, since the
+  // only worker is parked and no other thread dispatches.
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  EXPECT_EQ(server.metrics().queued_samples, 6u);
   gate->open();
   EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
-  EXPECT_TRUE(matches(ref_a_, 0, no_deadline.get()));
-  std::uint64_t misses = 0;
   try {
-    EXPECT_TRUE(matches(ref_a_, 10, with_deadline.get()));
+    (void)doomed.get();
+    ADD_FAILURE() << "expired request was executed";
   } catch (const ServeError& e) {
-    // Dispatched in time, then expired waiting for the parked worker.
     EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded);
-    EXPECT_NE(std::string(e.what()).find("before execution"),
+    EXPECT_NE(std::string(e.what()).find("before dispatch"),
               std::string::npos)
-        << "flushed after the deadline: " << e.what();
-    misses = 1;
+        << e.what();
   }
+  EXPECT_TRUE(matches(ref_a_, 0, no_deadline.get()));
+  EXPECT_TRUE(matches(ref_a_, 10, live.get()));
   const auto m = server.metrics();
-  EXPECT_EQ(m.deadline_missed, misses);
-  EXPECT_EQ(m.batches, 2u);  // the bait, then both requests together
+  EXPECT_EQ(m.deadline_missed, 1u);
+  EXPECT_EQ(m.batches, 2u);  // the bait, then both survivors together
   EXPECT_EQ(m.requests, m.completed + m.failed);
 }
 
 // A request whose deadline expires while queued is swept and failed typed,
-// never executed: the single worker is pinned by a slow batch, the
-// deadline-carrying request expires in the batch queue behind it.
+// never executed: the single worker is pinned by a slow batch, and the
+// deadline-carrying request expires in the request queue behind it.
 TEST_F(ResilienceFixture, ExpiredRequestSweptNotExecuted) {
   ServeOptions opt;
   opt.max_batch = 64;
-  opt.max_delay_us = 0;  // every request dispatches as its own batch
   opt.workers = 1;
   InferenceServer server(opt);
   server.registry().install(
@@ -257,8 +246,6 @@ TEST_F(ResilienceFixture, ExpiredRequestSweptNotExecuted) {
 // stop() begins.
 TEST_F(ResilienceFixture, DegradeLevelAndHealthTrackPressure) {
   ServeOptions opt;
-  opt.max_batch = 1u << 20;
-  opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   opt.sample_capacity = 100;
   const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
@@ -316,7 +303,7 @@ TEST_F(ResilienceFixture, InjectedAllocFailureInCoalesceFailsBatchTyped) {
   GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
 #else
   faults::Arm arm;
-  arm.site = faults::Site::kBatcherCoalesce;
+  arm.site = faults::Site::kWorkerCoalesce;
   arm.kind = faults::Kind::kBadAlloc;
   arm.fire_at = 1;
   arm.count = 1;
@@ -331,13 +318,14 @@ TEST_F(ResilienceFixture, InjectedAllocFailureInCoalesceFailsBatchTyped) {
 }
 
 // Priority eviction + ladder-top shedding, made deterministic by stalling
-// the batcher (the queue cannot drain under it).
+// the only worker while it forms its first batch (the queue cannot drain
+// under it).
 TEST_F(ResilienceFixture, PriorityEvictionAndLadderShedding) {
 #if !FLINT_FAULTS
   GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
 #else
   faults::Arm arm;
-  arm.site = faults::Site::kBatcherForm;
+  arm.site = faults::Site::kWorkerForm;
   arm.kind = faults::Kind::kStall;
   arm.fire_at = 1;
   arm.count = 1;
@@ -345,14 +333,13 @@ TEST_F(ResilienceFixture, PriorityEvictionAndLadderShedding) {
   faults::arm(arm);
   ServeOptions opt;
   opt.max_batch = 64;
-  opt.max_delay_us = 0;
   opt.workers = 1;
   opt.queue_capacity = 4;
   opt.shed_policy = ShedPolicy::kPriorityEvict;
   opt.stall_timeout_us = 0;  // the stall is the scenario, not a failure
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
-  // The bait batch parks the batcher inside the stall...
+  // The bait batch parks the worker inside the stall...
   auto bait = server.submit(rows_from(0, 1), 1);
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   // ...so these four kLow requests stay queued.
@@ -379,7 +366,7 @@ TEST_F(ResilienceFixture, PriorityEvictionAndLadderShedding) {
   auto m = server.metrics();
   EXPECT_EQ(m.evicted, 1u);
   EXPECT_EQ(m.shed, 1u);
-  // Release the batcher: everything still queued completes correctly.
+  // Release the worker: everything still queued completes correctly.
   faults::cancel_stalls();
   EXPECT_TRUE(matches(ref_a_, 0, bait.get()));
   for (std::size_t i = 0; i < 3; ++i) {
@@ -392,121 +379,97 @@ TEST_F(ResilienceFixture, PriorityEvictionAndLadderShedding) {
 #endif
 }
 
+// A worker stalled at either of its stall-prone sites — forming its batch
+// or executing it — is failed over by the watchdog and respawned.
 TEST_F(ResilienceFixture, WorkerStallWatchdogFailsOverAndRespawns) {
 #if !FLINT_FAULTS
   GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
 #else
-  faults::Arm arm;
-  arm.site = faults::Site::kWorkerExecute;
-  arm.kind = faults::Kind::kStall;
-  arm.fire_at = 1;
-  arm.count = 1;
-  arm.stall_us = 10'000'000;  // far beyond the watchdog threshold
-  faults::arm(arm);
-  ServeOptions opt;
-  opt.workers = 1;
-  opt.stall_timeout_us = 60'000;
-  InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
-  auto stalled = server.submit(rows_from(0, 2), 2);
-  // The watchdog fails only the affected request, with a typed error.
-  EXPECT_EQ(serve_error_code(stalled), ErrorCode::kStalled);
-  EXPECT_EQ(server.metrics().worker_restarts, 1u);
-  // The respawned worker serves immediately (the fault window is spent).
-  auto fine = server.submit(rows_from(5, 2), 2);
-  EXPECT_TRUE(matches(ref_a_, 5, fine.get()));
-  // While the zombie is still stalled the server reports degraded; once
-  // released and reaped it recovers to healthy.
-  faults::cancel_stalls();
-  EXPECT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& m) {
-    return m.health == HealthState::kHealthy;
-  }));
-  server.stop();
-  const auto m = server.metrics();
-  EXPECT_EQ(m.requests, m.completed + m.failed);
+  for (const auto site :
+       {faults::Site::kWorkerExecute, faults::Site::kWorkerForm}) {
+    SCOPED_TRACE(faults::to_string(site));
+    faults::reset();
+    faults::Arm arm;
+    arm.site = site;
+    arm.kind = faults::Kind::kStall;
+    arm.fire_at = 1;
+    arm.count = 1;
+    arm.stall_us = 10'000'000;  // far beyond the watchdog threshold
+    faults::arm(arm);
+    ServeOptions opt;
+    opt.workers = 1;
+    opt.stall_timeout_us = 60'000;
+    InferenceServer server(opt);
+    server.registry().install("default", wrap(forest_a_));
+    auto stalled = server.submit(rows_from(0, 2), 2);
+    // The watchdog fails only the affected request, with a typed error.
+    EXPECT_EQ(serve_error_code(stalled), ErrorCode::kStalled);
+    EXPECT_EQ(server.metrics().worker_restarts, 1u);
+    // The respawned worker serves immediately (the fault window is spent).
+    auto fine = server.submit(rows_from(5, 2), 2);
+    EXPECT_TRUE(matches(ref_a_, 5, fine.get()));
+    // While the zombie is still stalled the server reports degraded; once
+    // released and reaped it recovers to healthy.
+    faults::cancel_stalls();
+    EXPECT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& m) {
+      return m.health == HealthState::kHealthy;
+    }));
+    server.stop();
+    const auto m = server.metrics();
+    EXPECT_EQ(m.requests, m.completed + m.failed);
+  }
 #endif
 }
 
-TEST_F(ResilienceFixture, BatcherStallWatchdogFailsOverAndRespawns) {
-#if !FLINT_FAULTS
-  GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
-#else
-  faults::Arm arm;
-  arm.site = faults::Site::kBatcherForm;
-  arm.kind = faults::Kind::kStall;
-  arm.fire_at = 1;
-  arm.count = 1;
-  arm.stall_us = 10'000'000;
-  faults::arm(arm);
-  ServeOptions opt;
-  opt.workers = 1;
-  opt.stall_timeout_us = 60'000;
-  InferenceServer server(opt);
-  server.registry().install("default", wrap(forest_a_));
-  auto stalled = server.submit(rows_from(0, 2), 2);
-  EXPECT_EQ(serve_error_code(stalled), ErrorCode::kStalled);
-  EXPECT_EQ(server.metrics().batcher_restarts, 1u);
-  // The replacement batcher owns the queue now.
-  auto fine = server.submit(rows_from(5, 2), 2);
-  EXPECT_TRUE(matches(ref_a_, 5, fine.get()));
-  faults::cancel_stalls();
-  EXPECT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& m) {
-    return m.health == HealthState::kHealthy;
-  }));
-#endif
-}
-
-// The idle-worker count stays exact through every path that loses a batch:
-// a worker fail-over, a batcher fail-over and an assembly bad_alloc.  A
-// leaked credit would leave the lone worker looking busy, so an isolated
-// request would wait out the 30s max_delay; a credit returned twice (say by
-// a zombie) would let requests queued behind a busy worker dispatch
-// without coalescing.
-TEST_F(ResilienceFixture, FailOversAndAssemblyFaultsKeepIdleCountExact) {
+// Every path that loses a batch — a worker stalled while executing, one
+// stalled while forming, and an allocation failure while coalescing —
+// leaves the pool live: an isolated request still resolves at once, and
+// once the zombies are reaped a pair queued behind the parked worker still
+// coalesces into one batch (a zombie that kept taking work would split
+// it).
+TEST_F(ResilienceFixture, PoolStaysLiveAfterFailOversAndAssemblyFaults) {
 #if !FLINT_FAULTS
   GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
 #else
   // Per-site hit counts: request 1 stalls its worker (execute hit 1),
-  // request 2 stalls the batcher (form hit 2), request 3 fails coalescing
-  // (coalesce hit 2 — request 2 never reached it).
-  faults::Arm worker_stall;
-  worker_stall.site = faults::Site::kWorkerExecute;
-  worker_stall.kind = faults::Kind::kStall;
-  worker_stall.fire_at = 1;
-  worker_stall.stall_us = 10'000'000;
-  faults::arm(worker_stall);
-  faults::Arm batcher_stall = worker_stall;
-  batcher_stall.site = faults::Site::kBatcherForm;
-  batcher_stall.fire_at = 2;
-  faults::arm(batcher_stall);
+  // request 2 stalls the replacement while forming (form hit 2), request 3
+  // fails coalescing (coalesce hit 2 — request 2 never reached it).
+  faults::Arm execute_stall;
+  execute_stall.site = faults::Site::kWorkerExecute;
+  execute_stall.kind = faults::Kind::kStall;
+  execute_stall.fire_at = 1;
+  execute_stall.stall_us = 10'000'000;
+  faults::arm(execute_stall);
+  faults::Arm form_stall = execute_stall;
+  form_stall.site = faults::Site::kWorkerForm;
+  form_stall.fire_at = 2;
+  faults::arm(form_stall);
   faults::Arm bad_alloc;
-  bad_alloc.site = faults::Site::kBatcherCoalesce;
+  bad_alloc.site = faults::Site::kWorkerCoalesce;
   bad_alloc.kind = faults::Kind::kBadAlloc;
   bad_alloc.fire_at = 2;
   faults::arm(bad_alloc);
   ServeOptions opt;
-  opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   opt.stall_timeout_us = 60'000;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
-  auto worker_stalled = server.submit(rows_from(0, 1), 1);
-  EXPECT_EQ(serve_error_code(worker_stalled), ErrorCode::kStalled);
-  auto batcher_stalled = server.submit(rows_from(1, 1), 1);
-  EXPECT_EQ(serve_error_code(batcher_stalled), ErrorCode::kStalled);
+  auto execute_stalled = server.submit(rows_from(0, 1), 1);
+  EXPECT_EQ(serve_error_code(execute_stalled), ErrorCode::kStalled);
+  auto form_stalled = server.submit(rows_from(1, 1), 1);
+  EXPECT_EQ(serve_error_code(form_stalled), ErrorCode::kStalled);
   auto alloc_failed = server.submit(rows_from(2, 1), 1);
   EXPECT_EQ(serve_error_code(alloc_failed), ErrorCode::kExecutionFailed);
   auto m = server.metrics();
-  EXPECT_EQ(m.worker_restarts, 1u);
-  EXPECT_EQ(m.batcher_restarts, 1u);
+  EXPECT_EQ(m.worker_restarts, 2u);
 
   auto probe = server.submit(rows_from(3, 1), 1);
   ASSERT_EQ(probe.wait_for(std::chrono::seconds(1)),
             std::future_status::ready);
   EXPECT_TRUE(matches(ref_a_, 3, probe.get()));
 
-  // Let the zombies come back and be reaped, then check nothing returned
-  // a second credit: with the worker parked, queued requests must hold.
+  // Let the zombies come back and be reaped; with the live worker parked,
+  // queued requests must hold and then leave together.
   faults::cancel_stalls();
   ASSERT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& s) {
     return s.health == HealthState::kHealthy;
@@ -603,7 +566,6 @@ TEST_F(ResilienceFixture, ChaosSweepEveryRequestResolvesTyped) {
   faults::arm_seeded(seed, /*stall_us=*/0);
   ServeOptions opt;
   opt.max_batch = 32;
-  opt.max_delay_us = 200;
   opt.workers = 2;
   opt.stall_timeout_us = 2'000'000;
   InferenceServer server(opt);

@@ -101,8 +101,8 @@ class ServeFixture : public ::testing::Test {
     return true;
   }
 
-  /// Parks the server's single worker in `gate` on a one-sample bait
-  /// request; returns the bait's future.
+  /// Parks one of the server's workers in `gate` on a one-sample bait
+  /// request (row 0); returns the bait's future.
   PredictionFuture park_worker(InferenceServer& server,
                                const GatePredictor& gate) {
     auto bait = server.submit(rows_from(0, 1), 1);
@@ -138,7 +138,6 @@ TEST_F(ServeFixture, RegistryInstallResolveVersioning) {
 TEST_F(ServeFixture, MixedBatchSizesBitIdenticalSequential) {
   ServeOptions opt;
   opt.max_batch = 32;
-  opt.max_delay_us = 100;
   opt.workers = 2;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -162,7 +161,6 @@ TEST_F(ServeFixture, ConcurrentProducersBitIdentical) {
   for (const char* backend : {"encoded", "layout:auto"}) {
     ServeOptions opt;
     opt.max_batch = 64;
-    opt.max_delay_us = 200;
     opt.workers = 4;
     InferenceServer server(opt);
     server.registry().install("default", wrap(forest_a_, backend));
@@ -197,7 +195,6 @@ TEST_F(ServeFixture, ConcurrentProducersBitIdentical) {
 TEST_F(ServeFixture, PoisonedRequestFailsAlone) {
   ServeOptions opt;
   opt.max_batch = 128;
-  opt.max_delay_us = 500;  // wide window: neighbors *would* coalesce
   opt.workers = 2;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -237,7 +234,6 @@ TEST_F(ServeFixture, PoisonedRequestFailsAlone) {
 TEST_F(ServeFixture, HotSwapUnderLoadNeverMixesVersions) {
   ServeOptions opt;
   opt.max_batch = 64;
-  opt.max_delay_us = 200;
   opt.workers = 4;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -267,12 +263,9 @@ TEST_F(ServeFixture, HotSwapUnderLoadNeverMixesVersions) {
 
 // Shutdown contract: stop() with a non-empty queue drains — every accepted
 // request completes with a correct result, none is dropped.  The parked
-// worker and the huge max_delay pin the requests in the queue until stop()
-// forces the flush.
+// worker pins the requests in the queue until stop() begins.
 TEST_F(ServeFixture, ShutdownDrainsNonEmptyQueue) {
   ServeOptions opt;
-  opt.max_batch = 1u << 20;       // sample-count flush unreachable
-  opt.max_delay_us = 30'000'000;  // delay flush unreachable in test time
   opt.workers = 1;
   const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
@@ -306,8 +299,6 @@ TEST_F(ServeFixture, ShutdownDrainsNonEmptyQueue) {
 
 TEST_F(ServeFixture, BackpressureRejectsBeyondQueueCapacity) {
   ServeOptions opt;
-  opt.max_batch = 1u << 20;
-  opt.max_delay_us = 30'000'000;  // batcher holds the queue during the test
   opt.workers = 1;
   opt.queue_capacity = 4;
   const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
@@ -340,8 +331,6 @@ TEST_F(ServeFixture, BackpressureRejectsBeyondQueueCapacity) {
 // sample_capacity closes that hole — admission is cost-aware.
 TEST_F(ServeFixture, BackpressureBoundsQueuedSamples) {
   ServeOptions opt;
-  opt.max_batch = 1u << 20;
-  opt.max_delay_us = 30'000'000;  // batcher holds the queue during the test
   opt.workers = 1;
   opt.queue_capacity = 1024;  // far from binding here
   opt.sample_capacity = 200;
@@ -353,9 +342,9 @@ TEST_F(ServeFixture, BackpressureBoundsQueuedSamples) {
   // A single request beyond sample_capacity is never admissible.
   auto huge = server.submit(rows_from(0, 201), 201);
   EXPECT_EQ(serve_error_code(huge), ErrorCode::kOverloaded);
-  // 80 samples queued (pressure 0.4: below the degrade ladder, so the
-  // batcher keeps waiting); a further 130 would cross the sample bound
-  // even though the request count (3) is nowhere near queue_capacity.
+  // 80 samples queued behind the parked worker (pressure 0.4: below the
+  // degrade ladder); a further 130 would cross the sample bound even
+  // though the request count (3) is nowhere near queue_capacity.
   std::vector<PredictionFuture> accepted;
   accepted.push_back(server.submit(rows_from(0, 40), 40));
   accepted.push_back(server.submit(rows_from(40, 40), 40));
@@ -384,7 +373,6 @@ TEST_F(ServeFixture, BackpressureBoundsQueuedSamples) {
 TEST_F(ServeFixture, StopVsConcurrentSubmitRace) {
   ServeOptions opt;
   opt.max_batch = 32;
-  opt.max_delay_us = 100;
   opt.workers = 2;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -441,7 +429,6 @@ TEST_F(ServeFixture, NamedModelsRouteIndependently) {
 TEST_F(ServeFixture, ZeroCopySingleLargeRequest) {
   ServeOptions opt;
   opt.max_batch = 16;  // the request below alone fills a block
-  opt.max_delay_us = 10'000;
   opt.workers = 1;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -457,12 +444,10 @@ TEST_F(ServeFixture, ZeroCopySingleLargeRequest) {
   EXPECT_TRUE(empty.get().empty());
 }
 
-// Work-conserving dispatch: with a worker idle, an isolated request flushes
-// at once — max_delay_us bounds coalescing only while every worker is busy
-// — and executes as one zero-copy batch.
+// Work-conserving dispatch: an idle worker takes an isolated request at
+// once, never waiting for company, and executes it as one zero-copy batch.
 TEST_F(ServeFixture, IsolatedRequestDispatchesAtOnceToIdleWorker) {
   ServeOptions opt;
-  opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   InferenceServer server(opt);
   server.registry().install("default", wrap(forest_a_));
@@ -475,12 +460,10 @@ TEST_F(ServeFixture, IsolatedRequestDispatchesAtOnceToIdleWorker) {
   EXPECT_EQ(m.zero_copy_batches, 1u);
 }
 
-// Under load the batcher still coalesces: requests queued behind the busy
-// (parked) worker form one batch the moment it goes idle, instead of
-// waiting out max_delay_us.
+// Under load the workers still coalesce: requests queued behind the busy
+// (parked) worker form one batch the moment it frees up.
 TEST_F(ServeFixture, RequestsQueuedBehindBusyWorkerCoalesceOnRelease) {
   ServeOptions opt;
-  opt.max_delay_us = 30'000'000;
   opt.workers = 1;
   const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
   InferenceServer server(opt);
@@ -502,6 +485,32 @@ TEST_F(ServeFixture, RequestsQueuedBehindBusyWorkerCoalesceOnRelease) {
   const auto m = server.metrics();
   EXPECT_EQ(m.batches, 2u);  // the bait, then all six coalesced
   EXPECT_EQ(m.zero_copy_batches, 1u);
+}
+
+// An idle worker never sleeps while work is queued: with one of two workers
+// parked, the other takes the next request at once; a request that arrives
+// while both are parked waits in the queue until one frees up.
+TEST_F(ServeFixture, IdleWorkerNeverSleepsWhileWorkIsQueued) {
+  ServeOptions opt;
+  opt.max_batch = 1;
+  opt.workers = 2;
+  const auto gate = std::make_shared<GatePredictor>(wrap(forest_a_));
+  InferenceServer server(opt);
+  const GateGuard release(*gate);
+  server.registry().install("default", gate);
+  auto first = park_worker(server, *gate);
+  auto second = server.submit(rows_from(1, 1), 1);
+  ASSERT_TRUE(gate->wait_entered(2));  // the idle worker took it at once
+  auto third = server.submit(rows_from(2, 1), 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.metrics().queued_samples, 1u);
+  gate->open();
+  EXPECT_TRUE(matches(ref_a_, 0, first.get()));
+  EXPECT_TRUE(matches(ref_a_, 1, second.get()));
+  ASSERT_EQ(third.wait_for(std::chrono::seconds(1)),
+            std::future_status::ready);
+  EXPECT_TRUE(matches(ref_a_, 2, third.get()));
+  EXPECT_EQ(server.metrics().batches, 3u);
 }
 
 TEST_F(ServeFixture, SubmitBeforeAnyInstallIsRejected) {
