@@ -19,6 +19,9 @@
 //     versions (never a mix), and p99 latency must stay under a measured
 //     kernel budget.
 //
+// The first two modes also report process CPU (user + system, from
+// getrusage) per request beside p50: the price of the idle worker's spin.
+//
 // Every response in every mode is verified bit-identical to per-sample
 // Forest::predict before it counts.  FLINT_BENCH_SMOKE=1 (the CI gate)
 // runs the hot-swap gate plus a reduced acceptance comparison;
@@ -32,6 +35,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "data/split.hpp"
 #include "data/synth.hpp"
@@ -87,7 +92,19 @@ struct LoadResult {
   double p50_us = 0.0;
   double p99_us = 0.0;
   double mean_batch = 0.0;
+  double cpu_us_per_request = 0.0;  // process user + system CPU
 };
+
+/// User + system CPU time this process has used so far, in µs.
+double process_cpu_us() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto us = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e6 +
+           static_cast<double>(t.tv_usec);
+  };
+  return us(usage.ru_utime) + us(usage.ru_stime);
+}
 
 /// Closed-loop pipelined load: `clients` threads each submit
 /// `requests_per_client` single-sample requests keeping `window` futures in
@@ -97,6 +114,7 @@ LoadResult closed_loop(serve::InferenceServer& server, const Pool& pool,
                        unsigned clients, std::size_t requests_per_client,
                        std::size_t window) {
   std::atomic<bool> ok{true};
+  const double cpu_start = process_cpu_us();
   const auto start = Clock::now();
   std::vector<std::thread> threads;
   threads.reserve(clients);
@@ -126,6 +144,7 @@ LoadResult closed_loop(serve::InferenceServer& server, const Pool& pool,
   for (auto& t : threads) t.join();
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
+  const double cpu_us = process_cpu_us() - cpu_start;
   if (!ok.load()) {
     std::fprintf(stderr,
                  "FATAL: served result diverges from Forest::predict\n");
@@ -137,6 +156,8 @@ LoadResult closed_loop(serve::InferenceServer& server, const Pool& pool,
   r.p50_us = m.p50_latency_us;
   r.p99_us = m.p99_latency_us;
   r.mean_batch = m.mean_batch_samples;
+  r.cpu_us_per_request =
+      cpu_us / static_cast<double>(clients * requests_per_client);
   return r;
 }
 
@@ -152,6 +173,7 @@ LoadResult open_loop(serve::InferenceServer& server, const Pool& pool,
   std::vector<std::pair<std::size_t, std::future<std::vector<std::int32_t>>>>
       inflight;
   inflight.reserve(total);
+  const double cpu_start = process_cpu_us();
   const auto start = Clock::now();
   for (std::size_t i = 0; i < total; ++i) {
     std::this_thread::sleep_until(start + interval * i);
@@ -177,12 +199,14 @@ LoadResult open_loop(serve::InferenceServer& server, const Pool& pool,
   }
   const double elapsed =
       std::chrono::duration<double>(Clock::now() - start).count();
+  const double cpu_us = process_cpu_us() - cpu_start;
   const auto m = server.metrics();
   LoadResult r;
   r.qps = static_cast<double>(total) / elapsed;
   r.p50_us = m.p50_latency_us;
   r.p99_us = m.p99_latency_us;
   r.mean_batch = m.mean_batch_samples;
+  r.cpu_us_per_request = cpu_us / static_cast<double>(total);
   return r;
 }
 
@@ -257,8 +281,9 @@ int main(int argc, char** argv) {
       "--- closed-loop comparison (%u clients x %zu single-sample requests,\n"
       "    window %zu, %u workers, backend layout:auto) ---\n",
       clients, per_client, window, workers);
-  std::printf("%-6s %-28s %-12s %-10s %-10s %-12s\n", "round", "config", "QPS",
-              "p50_us", "p99_us", "mean_batch");
+  std::printf("%-6s %-28s %-12s %-10s %-12s %-10s %-12s\n", "round",
+              "config", "QPS", "p50_us", "cpu_us/req", "p99_us",
+              "mean_batch");
   // One run per side spreads too widely on a shared host to carry a fixed
   // floor, so the two sides alternate in paired rounds and the acceptance
   // ratio is the median of the per-round ratios, which cancels load drift
@@ -280,8 +305,9 @@ int main(int argc, char** argv) {
       (micro ? qps_micro : qps_single) = r.qps;
       const std::string label =
           micro ? "micro-batch(1024)" : "batch-1 dispatch";
-      std::printf("%-6d %-28s %-12.0f %-10.0f %-10.0f %-12.1f\n", round,
-                  label.c_str(), r.qps, r.p50_us, r.p99_us, r.mean_batch);
+      std::printf("%-6d %-28s %-12.0f %-10.0f %-12.1f %-10.0f %-12.1f\n",
+                  round, label.c_str(), r.qps, r.p50_us, r.cpu_us_per_request,
+                  r.p99_us, r.mean_batch);
       json.add_row(
           {{"mode", flint::harness::BenchValue::of(label)},
            {"round", flint::harness::BenchValue::of(round)},
@@ -290,6 +316,8 @@ int main(int argc, char** argv) {
            {"workers", flint::harness::BenchValue::of(workers)},
            {"qps", flint::harness::BenchValue::of(r.qps)},
            {"p50_us", flint::harness::BenchValue::of(r.p50_us)},
+           {"cpu_us_per_request",
+            flint::harness::BenchValue::of(r.cpu_us_per_request)},
            {"p99_us", flint::harness::BenchValue::of(r.p99_us)},
            {"mean_batch", flint::harness::BenchValue::of(r.mean_batch)}});
     }
@@ -324,8 +352,9 @@ int main(int argc, char** argv) {
     std::printf(
         "--- open-loop sweep (paced single-sample requests, %u workers) ---\n",
         workers);
-    std::printf("%-12s %-12s %-12s %-10s %-10s %-12s\n", "backend",
-                "offered", "achieved", "p50_us", "p99_us", "mean_batch");
+    std::printf("%-12s %-12s %-12s %-10s %-12s %-10s %-12s\n", "backend",
+                "offered", "achieved", "p50_us", "cpu_us/req", "p99_us",
+                "mean_batch");
     const std::vector<std::string> backends =
         full ? std::vector<std::string>{"encoded", "simd:flint", "layout:auto"}
              : std::vector<std::string>{"encoded", "layout:auto"};
@@ -342,15 +371,17 @@ int main(int argc, char** argv) {
         server.registry().install("default", predictor);
         const auto r = open_loop(server, pool, offered, full ? 1.0 : 0.4);
         server.stop();
-        std::printf("%-12s %-12.0f %-12.0f %-10.0f %-10.0f %-12.1f\n",
-                    backend.c_str(), offered, r.qps, r.p50_us, r.p99_us,
-                    r.mean_batch);
+        std::printf("%-12s %-12.0f %-12.0f %-10.0f %-12.1f %-10.0f %-12.1f\n",
+                    backend.c_str(), offered, r.qps, r.p50_us,
+                    r.cpu_us_per_request, r.p99_us, r.mean_batch);
         json.add_row(
             {{"mode", flint::harness::BenchValue::of("open-loop")},
              {"backend", flint::harness::BenchValue::of(backend)},
              {"offered_qps", flint::harness::BenchValue::of(offered)},
              {"qps", flint::harness::BenchValue::of(r.qps)},
              {"p50_us", flint::harness::BenchValue::of(r.p50_us)},
+             {"cpu_us_per_request",
+              flint::harness::BenchValue::of(r.cpu_us_per_request)},
              {"p99_us", flint::harness::BenchValue::of(r.p99_us)},
              {"mean_batch", flint::harness::BenchValue::of(r.mean_batch)}});
       }

@@ -60,6 +60,10 @@ void stall(std::uint32_t stall_us) {
 }  // namespace
 
 void arm(const Arm& arm) {
+  if (arm.site == Site::kWorkerSpin &&
+      (arm.kind == Kind::kThrow || arm.kind == Kind::kBadAlloc)) {
+    throw std::invalid_argument("faults: worker.spin accepts stalls only");
+  }
   Injector& inj = injector();
   core::MutexLock lk(inj.mutex);
   SiteState& site = inj.sites[static_cast<std::size_t>(arm.site)];
@@ -70,6 +74,8 @@ void arm(const Arm& arm) {
 
 void arm_seeded(std::uint64_t seed, std::uint32_t stall_us) {
   std::uint64_t state = seed;
+  // worker.spin stays out: it is stall-only, and keeping the list fixed
+  // keeps every seed's plan the same shape.
   constexpr Site kFireable[] = {Site::kWorkerForm, Site::kWorkerCoalesce,
                                 Site::kWorkerExecute, Site::kRegistryInstall};
   for (const Site site : kFireable) {

@@ -47,6 +47,7 @@ enum class Site : int {
   kWorkerExecute,      ///< worker: immediately before predict dispatch
   kRegistryInstall,    ///< ModelRegistry::install, before the pointer flip
   kClockNow,           ///< the deadline clock (skew only)
+  kWorkerSpin,         ///< idle worker: a spin window ended (stall only)
   kCount_,
 };
 
@@ -59,6 +60,7 @@ inline const char* to_string(Site site) noexcept {
     case Site::kWorkerExecute: return "worker.execute";
     case Site::kRegistryInstall: return "registry.install";
     case Site::kClockNow: return "clock.now";
+    case Site::kWorkerSpin: return "worker.spin";
     case Site::kCount_: break;
   }
   return "unknown";
@@ -98,13 +100,15 @@ struct Arm {
 
 #if FLINT_FAULTS
 
-/// Arms `arm` (replacing any previous arm of the same site).
+/// Arms `arm` (replacing any previous arm of the same site).  Throws
+/// std::invalid_argument for a throw or alloc fault at worker.spin: that
+/// site sits outside any batch, so it only stalls.
 void arm(const Arm& arm);
 
 /// Derives a deterministic multi-site plan from `seed` (splitmix64): each
-/// non-clock site gets a throw/alloc/stall fault at a pseudo-random hit in
-/// [1, 12]; stalls use `stall_us`.  The same seed always yields the same
-/// plan — the CI chaos job sweeps seeds.
+/// worker and registry site except worker.spin gets a throw/alloc/stall
+/// fault at a pseudo-random hit in [1, 12]; stalls use `stall_us`.  The
+/// same seed always yields the same plan — the CI chaos job sweeps seeds.
 void arm_seeded(std::uint64_t seed, std::uint32_t stall_us);
 
 /// Disarms every site and zeroes the hit/fired counters.

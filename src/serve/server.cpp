@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -69,6 +70,17 @@ int degrade_level_from(std::size_t queued_samples, std::size_t queue_depth,
 /// Backoff hint carried by every shed, rejected-when-full or evicted
 /// request's ServeError.
 constexpr std::uint32_t kRetryAfterUs = 1000;
+
+/// How long an idle worker polls for the next request before it parks on
+/// the queue condition variable.  On a VM whose idle vCPUs halt, waking a
+/// parked worker costs about 55 µs, around 5x the 8–13 µs single-sample
+/// kernel of a 128-tree depth-14 forest.  At 2k Poisson requests/s a 1 ms
+/// window catches about 86% of arrivals (1 - e^-2).  The CLI and the
+/// default ServeOptions run one worker, so that worker is the spinner.
+/// Under sparse traffic the spin burns up to one core (with no traffic a
+/// worker parks after one window); the worker yields on every pass, so
+/// clients that need the CPU still get it.
+constexpr auto kSpinWindow = std::chrono::microseconds(1000);
 
 /// Maps any batch-assembly/execution exception to the typed contract:
 /// ServeError passes through, everything else (predictor throw, injected
@@ -172,6 +184,7 @@ struct InferenceServer::Impl {
     std::vector<float> coalesced;
     std::size_t n_samples = 0;
     bool zero_copy = false;
+    bool spin_hit = false;  ///< formed by a spinner that was never woken
     core::Mutex mu;
     std::vector<char> settled FLINT_GUARDED_BY(mu);  // 1:1 with requests
   };
@@ -226,15 +239,36 @@ struct InferenceServer::Impl {
 
   /// An idle worker waits on the request queue, sweeps expired requests,
   /// forms a batch from the head request and wakes another idle worker if
-  /// work is still queued, so no worker sleeps while work waits.  On
-  /// shutdown the workers drain the queue, then exit.
+  /// work is still queued, so no worker sleeps while work waits.  Once
+  /// between two batches, and only while no other worker spins, an idle
+  /// worker polls for up to kSpinWindow before it parks, and submit()
+  /// skips the wake-up while it spins.  The spinner re-checks the queue
+  /// under the lock after every spin, so a stale counter only shortens a
+  /// spin and never strands a request.  On shutdown the workers drain the
+  /// queue, then exit.
   void worker_loop(Slot* slot, std::size_t index) {
     core::UniqueLock lk(queue_mutex);
+    bool may_spin = true;  // at most one spin between two batches
     for (;;) {
+      bool spin_hit = false;
       // Condition predicates are written as explicit loops in the locked
       // scope (not wait(lock, lambda)) so the thread-safety analysis sees
       // every guarded read under the lock it requires.
-      while (!stopping && queue.empty()) queue_cv.wait(lk);
+      while (!stopping && queue.empty()) {
+        if (!may_spin || spinner) {
+          queue_cv.wait(lk);
+          continue;
+        }
+        may_spin = false;
+        spinner = true;
+        const std::uint64_t seen = enqueues.load();
+        lk.unlock();
+        const double spun_us = poll_enqueues(seen);
+        lk.lock();
+        spinner = false;
+        spin_us += spun_us;
+        spin_hit = !queue.empty();
+      }
       if (queue.empty()) break;  // stopping, and the queue is drained
       // Deadline sweep before formation: an expired-in-queue request is
       // failed typed, never executed.
@@ -252,12 +286,27 @@ struct InferenceServer::Impl {
       const std::size_t eff_max_batch =
           level >= 2 ? options.max_batch * 2 : options.max_batch;
       BatchPtr batch = form_batch_locked(eff_max_batch);
+      batch->spin_hit = spin_hit;
       const bool more = !queue.empty();
       lk.unlock();
       if (more) queue_cv.notify_one();
       if (!run_batch(slot, index, batch)) return;  // failed over mid-batch
       lk.lock();
+      may_spin = true;
     }
+  }
+
+  /// Polls the enqueue counter, yielding the CPU on every pass, until it
+  /// moves past `seen` or kSpinWindow ends.  Returns the time spent, in µs.
+  double poll_enqueues(std::uint64_t seen) {
+    const Clock::time_point start = Clock::now();
+    const Clock::time_point until = start + kSpinWindow;
+    while (enqueues.load() == seen && Clock::now() < until) {
+      std::this_thread::yield();
+    }
+    const double spun_us = microseconds_between(start, Clock::now());
+    faults::hit(faults::Site::kWorkerSpin);
+    return spun_us;
   }
 
   /// Removes every request whose deadline has passed.  Caller fails the
@@ -432,6 +481,7 @@ struct InferenceServer::Impl {
       core::MutexLock ml(metrics_mutex);
       ++metrics.batches;
       if (batch.zero_copy) ++metrics.zero_copy_batches;
+      if (batch.spin_hit) ++metrics.spin_hits;
       ++metrics.batch_size_histogram[histogram_bucket(batch.n_samples)];
       batched_samples += batch.n_samples;
       metrics.completed += fulfill.size();
@@ -561,6 +611,7 @@ struct InferenceServer::Impl {
     {
       core::MutexLock lk(queue_mutex);
       stopping = true;
+      enqueues.fetch_add(1);  // ends a spin now
     }
     queue_cv.notify_all();
     // Retire the watchdog first so no fail-over races the joins below.
@@ -602,6 +653,12 @@ struct InferenceServer::Impl {
   std::deque<Request> queue FLINT_GUARDED_BY(queue_mutex);
   std::size_t queued_samples FLINT_GUARDED_BY(queue_mutex) = 0;
   bool stopping FLINT_GUARDED_BY(queue_mutex) = false;
+  bool spinner FLINT_GUARDED_BY(queue_mutex) = false;  // a worker polls
+  double spin_us FLINT_GUARDED_BY(queue_mutex) = 0.0;
+  // Bumped under queue_mutex by every enqueue and by stop(); the spinner
+  // polls it without the lock.  The only lock-free queue state: the queue
+  // itself is re-read under the lock.
+  std::atomic<std::uint64_t> enqueues{0};
 
   // Watchdog-visible pool state: the worker slots, their progress
   // heartbeats (set while a worker holds a batch, cleared when it is
@@ -704,6 +761,19 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
     return future;
   }
 
+  // Cost-aware admission: a request that alone exceeds the sample bound
+  // can never be admitted, whatever the queue looks like.  Checked before
+  // the copy below, so an oversized request is rejected without one.
+  if (n_samples > options_.sample_capacity) {
+    return reject(std::make_exception_ptr(ServeError(
+                      ErrorCode::kOverloaded,
+                      "request of " + std::to_string(n_samples) +
+                          " samples exceeds sample_capacity " +
+                          std::to_string(options_.sample_capacity),
+                      kRetryAfterUs)),
+                  /*is_shed=*/true);
+  }
+
   const auto now = faults::now();
   Impl::Request request;
   request.predictor = std::move(entry.predictor);
@@ -714,6 +784,10 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
     request.deadline =
         now + std::chrono::microseconds(submit_options.deadline_us);
   }
+  // Copy and rewrite outside queue_mutex: the critical section below,
+  // which a spinning worker retakes to form its batch, stays short.
+  request.features.assign(features.begin(), features.end());
+  predict::apply_missing_rewrites<float>(policy, request.features);
 
   std::vector<Impl::Request> victims;
   {
@@ -725,19 +799,6 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
     }
     const int level = degrade_level_from(impl_->queued_samples,
                                          impl_->queue.size(), options_);
-    // Cost-aware admission: a request that alone exceeds the sample bound
-    // can never be admitted, whatever the queue looks like.
-    if (n_samples > options_.sample_capacity) {
-      lk.unlock();
-      return reject(
-          std::make_exception_ptr(ServeError(
-              ErrorCode::kOverloaded,
-              "request of " + std::to_string(n_samples) +
-                  " samples exceeds sample_capacity " +
-                  std::to_string(options_.sample_capacity),
-              kRetryAfterUs)),
-          /*is_shed=*/true);
-    }
     // Degrade ladder, step 3: at the top of the ladder low-priority work
     // is shed outright, before the hard bounds are even consulted.
     if (level >= 3 && request.priority == Priority::kLow) {
@@ -793,14 +854,15 @@ std::future<std::vector<std::int32_t>> InferenceServer::submit(
       impl_->fail_victims(std::move(victims));
       return rejected_future;
     }
-    request.features.assign(features.begin(), features.end());
-    predict::apply_missing_rewrites<float>(policy, request.features);
     request.promise = std::move(promise);
     impl_->queue.push_back(std::move(request));
     impl_->queued_samples += n_samples;
+    impl_->enqueues.fetch_add(1);
+    // A spinning worker sees the bump and retakes the lock itself.
+    const bool wake = !impl_->spinner;
     const std::size_t depth = impl_->queue.size();
     lk.unlock();
-    impl_->queue_cv.notify_one();
+    if (wake) impl_->queue_cv.notify_one();
     impl_->fail_victims(std::move(victims));
     core::MutexLock ml(impl_->metrics_mutex);
     ++impl_->metrics.requests;
@@ -828,6 +890,7 @@ ServeMetrics InferenceServer::metrics() const {
   {
     core::MutexLock lk(impl_->queue_mutex);
     snapshot.queued_samples = impl_->queued_samples;
+    snapshot.spin_us = impl_->spin_us;
     snapshot.degrade_level = degrade_level_from(
         impl_->queued_samples, impl_->queue.size(), options_);
     draining = impl_->stopping;
@@ -874,6 +937,9 @@ void add_serve_metrics(harness::BenchJson& json, const ServeMetrics& metrics,
            static_cast<std::int64_t>(metrics.deadline_missed));
   json.set(prefix + "shed", static_cast<std::int64_t>(metrics.shed));
   json.set(prefix + "evicted", static_cast<std::int64_t>(metrics.evicted));
+  json.set(prefix + "spin_hits",
+           static_cast<std::int64_t>(metrics.spin_hits));
+  json.set(prefix + "spin_us", metrics.spin_us);
   json.set(prefix + "worker_restarts",
            static_cast<std::int64_t>(metrics.worker_restarts));
   json.set(prefix + "faults_injected",
@@ -918,6 +984,8 @@ std::string serve_metrics_json(const ServeMetrics& metrics) {
   field("deadline_missed", std::to_string(metrics.deadline_missed));
   field("shed", std::to_string(metrics.shed));
   field("evicted", std::to_string(metrics.evicted));
+  field("spin_hits", std::to_string(metrics.spin_hits));
+  field("spin_us", num(metrics.spin_us));
   field("worker_restarts", std::to_string(metrics.worker_restarts));
   field("faults_injected", std::to_string(metrics.faults_injected));
   field("max_queue_depth", std::to_string(metrics.max_queue_depth));

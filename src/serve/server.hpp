@@ -6,8 +6,8 @@
 // concurrent requests.  InferenceServer closes that gap:
 //
 //   submit() ──> MPSC request queue ──> worker pool (an idle worker sweeps,
-//                (mutex + cv)           forms, coalesces and executes its
-//                                       own micro-batch via Predictor)
+//                (mutex + cv +          forms, coalesces and executes its
+//                 enqueue counter)      own micro-batch via Predictor)
 //                      ▲ admission control   ▲ watchdog (stall detection,
 //                                              fail-over, respawn)
 //
@@ -21,6 +21,14 @@
 //     Batching thus costs latency only under load.  A batch holding a
 //     single request executes zero-copy, directly on that request's own
 //     buffer;
+//   * an idle worker does not park at once: while no other worker spins,
+//     it polls an enqueue counter for up to 1 ms, yielding the CPU on
+//     every pass, and submit() skips the thread wake-up while it does.  A
+//     request that arrives in that window is taken without a wake-up,
+//     which on a VM costs several times a single-sample kernel.  The
+//     spinner re-checks the queue under the lock when its window ends, so
+//     no request is stranded.  ServeMetrics::spin_hits and spin_us show
+//     what the spin catches and what it costs;
 //   * per-request deadlines (SubmitOptions::deadline_us) bound time spent
 //     in the queue: a request whose deadline expires before a worker takes
 //     it is swept and failed with ErrorCode::kDeadlineExceeded instead of
@@ -56,11 +64,12 @@
 //     until the queue is empty, so queued requests are completed (or
 //     deadline-swept, typed), never dropped.
 //
-// Metrics (request/batch/shed/deadline/restart counters, queue depth and
-// pressure, health state, a log2 batch-size histogram and p50/p99/max
-// request latency) are sampled with metrics(), exported through the
-// BENCH_*.json machinery with add_serve_metrics, and rendered as one JSON
-// line by serve_metrics_json (the CLI `stats` command).
+// Metrics (request/batch/shed/deadline/restart counters, spin hits and
+// time, queue depth and pressure, health state, a log2 batch-size
+// histogram and p50/p99/max request latency) are sampled with metrics(),
+// exported through the BENCH_*.json machinery with add_serve_metrics, and
+// rendered as one JSON line by serve_metrics_json (the CLI `stats`
+// command).
 #pragma once
 
 #include <array>
@@ -229,6 +238,14 @@ struct ServeMetrics {
                                        ///< rejected
   std::uint64_t evicted = 0;           ///< accepted, then displaced by
                                        ///< higher-priority work
+  /// Batches a spinning worker took without being woken: it polled the
+  /// queue instead of parking, and the request arrived while it polled.
+  /// A subset of batches.
+  std::uint64_t spin_hits = 0;
+  /// Wall time idle workers spent polling before they took a batch or
+  /// parked, in µs.  Each poll yields the CPU, so this bounds the CPU the
+  /// spin costs from above.
+  double spin_us = 0.0;
   std::uint64_t worker_restarts = 0;   ///< watchdog worker fail-overs
   std::uint64_t faults_injected = 0;   ///< process-wide faults fired
                                        ///< (FLINT_FAULTS builds; else 0)

@@ -173,10 +173,13 @@ TEST_F(CliWorkflow, ServeLineProtocol) {
       << serve.out;
   EXPECT_NE(serve.out.find("ok "), std::string::npos) << serve.out;
   // `stats` prints the ServeMetrics snapshot as a single JSON line,
-  // including the health state and shed/deadline-miss counters.
+  // including the health state, shed/deadline-miss counters and what the
+  // idle worker's spin caught and cost.
   EXPECT_NE(serve.out.find("{\"health\":\"healthy\""), std::string::npos)
       << serve.out;
   EXPECT_NE(serve.out.find("\"requests\":"), std::string::npos);
+  EXPECT_NE(serve.out.find("\"spin_hits\":"), std::string::npos);
+  EXPECT_NE(serve.out.find("\"spin_us\":"), std::string::npos);
   EXPECT_NE(serve.out.find("\"shed\":0"), std::string::npos);
   EXPECT_NE(serve.out.find("\"deadline_missed\":0"), std::string::npos);
   EXPECT_NE(serve.out.find("ok swapped 'default' to v2"), std::string::npos);

@@ -496,6 +496,39 @@ TEST_F(ResilienceFixture, PoolStaysLiveAfterFailOversAndAssemblyFaults) {
 #endif
 }
 
+// A request that arrives while the spinner is between the end of its
+// window and the queue lock gets no wake-up, since submit() saw the
+// spinner, so the spinner must find it when it re-checks the queue.  A
+// stall at worker.spin holds that gap open for 300 ms.
+TEST_F(ResilienceFixture, SpinnerRechecksQueueAfterItsWindow) {
+#if !FLINT_FAULTS
+  GTEST_SKIP() << "requires -DFLINT_FAULTS=ON";
+#else
+  faults::Arm arm;
+  arm.site = faults::Site::kWorkerSpin;
+  arm.kind = faults::Kind::kThrow;
+  EXPECT_THROW(faults::arm(arm), std::invalid_argument);  // stall only
+  arm.kind = faults::Kind::kStall;
+  arm.fire_at = 1;
+  arm.count = 1;
+  arm.stall_us = 300'000;
+  faults::arm(arm);
+  ServeOptions opt;
+  opt.workers = 1;
+  InferenceServer server(opt);
+  server.registry().install("default", wrap(forest_a_));
+  // The idle worker's first window ends with nothing queued, and stalls.
+  ASSERT_TRUE(eventually(server, [](const flint::serve::ServeMetrics& m) {
+    return m.faults_injected >= 1;
+  }));
+  auto future = server.submit(rows_from(0, 2), 2);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  EXPECT_TRUE(matches(ref_a_, 0, future.get()));
+  EXPECT_EQ(server.metrics().spin_hits, 1u);  // taken without a wake-up
+#endif
+}
+
 // A fault mid-install (the registry.install fault point sits before the
 // pointer flip) must leave the last-good entry serving — the hot-swap
 // rollback contract.

@@ -513,6 +513,31 @@ TEST_F(ServeFixture, IdleWorkerNeverSleepsWhileWorkIsQueued) {
   EXPECT_EQ(server.metrics().batches, 3u);
 }
 
+// An idle worker polls for the next request before it parks: isolated
+// requests about 100 µs apart are taken without a wake-up, every result
+// stays exact, and a server with no traffic stops spinning.
+TEST_F(ServeFixture, IdleWorkerSpinsForSparseRequestsThenParks) {
+  ServeOptions opt;
+  opt.workers = 1;
+  InferenceServer server(opt);
+  server.registry().install("default", wrap(forest_a_));
+  for (std::size_t i = 0; i < 200; ++i) {
+    const std::size_t first = (i * 7) % rows_;
+    auto got = server.submit(rows_from(first, 1), 1).get();
+    ASSERT_TRUE(matches(ref_a_, first, got)) << "request " << i;
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const auto m = server.metrics();
+  EXPECT_GT(m.spin_hits, 0u);
+  EXPECT_LE(m.spin_hits, m.batches);
+  EXPECT_GT(m.spin_us, 0.0);
+  // Parked: spin time stops growing once the last window has ended.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const double idle_spin_us = server.metrics().spin_us;
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.metrics().spin_us, idle_spin_us);
+}
+
 TEST_F(ServeFixture, SubmitBeforeAnyInstallIsRejected) {
   InferenceServer server{ServeOptions{}};
   auto future = server.submit(rows_from(0, 1), 1);
