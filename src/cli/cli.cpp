@@ -155,7 +155,6 @@ int cmd_predict(const Args& args, std::ostream& out) {
   const std::string engine_name = args.get("engine", "flint");
   const bool print_labels = args.get("labels", "no") == "yes";
   const std::string output_mode = args.get("output", "classes");
-  const std::string stats_csv = args.get("train-data", "");
   const long threads = args.get_long("threads", 1);
   const long batch = args.get_long("batch", 64);
   if (threads < 0 || threads > 4096) {
@@ -190,8 +189,7 @@ int cmd_predict(const Args& args, std::ostream& out) {
     // count, so the width check below would misreport it, and the accuracy
     // quotient would divide by zero.  Still reject unknown backend names —
     // by vocabulary, not by constructing the predictor, which for jit:*
-    // would run the whole codegen + compile + dlopen pipeline (and for
-    // jit:cags-* load the training CSV for branch stats) just to print
+    // would run the whole codegen + compile + dlopen pipeline just to print
     // "n/a".
     if (!predict::is_known_backend(engine_name)) {
       std::string msg = "unknown backend '" + engine_name + "'";
@@ -209,29 +207,6 @@ int cmd_predict(const Args& args, std::ostream& out) {
     }
     return 0;
   }
-  std::vector<trees::BranchStats> stats;
-#ifdef FLINT_LEGACY_JIT
-  // The legacy CAGS backends need branch statistics from training data
-  // (score models route legacy jit:* to the interpreter fallback, no
-  // stats).  jit:layout needs nothing extra — the compact image carries
-  // everything the generator reads.
-  if (model.is_vote() && engine_name.rfind("jit:cags", 0) == 0) {
-    if (stats_csv.empty()) {
-      throw std::invalid_argument(
-          "--engine " + engine_name + " needs --train-data <csv> for branch statistics");
-    }
-    const auto train = data::load_csv<float>(stats_csv);
-    if (train.cols() < model.forest.feature_count()) {
-      throw std::invalid_argument(
-          "--train-data has fewer features than the model");
-    }
-    stats = trees::collect_branch_stats(model.forest, train);
-    popt.branch_stats = stats;
-  }
-#else
-  (void)stats;
-  (void)stats_csv;
-#endif
   if (dataset.cols() < model.forest.feature_count()) {
     throw std::invalid_argument("data has fewer features than the model");
   }
@@ -262,7 +237,8 @@ int cmd_predict(const Args& args, std::ostream& out) {
   }
   out << "accuracy " << (static_cast<double>(hits) /
                          static_cast<double>(dataset.rows()))
-      << " over " << dataset.rows() << " rows (engine: " << engine_name << ")\n";
+      << " over " << dataset.rows() << " rows (engine: " << predictor->name()
+      << ")\n";
   return 0;
 }
 
@@ -670,8 +646,7 @@ std::string usage() {
       "           sniffs the format from content (docs/MODEL_FORMATS.md)\n"
       "  predict  --model <model> --data <csv>\n"
       "           [--engine <backend>] [--threads N] [--batch N]\n"
-      "           [--labels yes|no] [--output classes|scores]\n"
-      "           [--train-data <csv>]\n" +
+      "           [--labels yes|no] [--output classes|scores]\n" +
       backends +
       "           (--threads 0 = all cores; --batch = samples per cache\n"
       "           block; jit:layout compiles a model-specialized module\n"

@@ -96,33 +96,19 @@ const layout::Q4Forest<T>* ExecArtifacts<T>::try_q4_at(std::size_t hot_depth,
 }
 
 template <typename T>
+std::optional<layout::Q4Forest<T>> ExecArtifacts<T>::take_q4(
+    std::string* why) {
+  if (try_q4_at(plan_.hot_depth, why) == nullptr) return std::nullopt;
+  return std::move(q4_.extract(plan_.hot_depth).mapped());
+}
+
+template <typename T>
 const layout::CompactForest<T, layout::CompactNode16>&
 ExecArtifacts<T>::compact16() {
   std::string why;
   const auto* packed = try_compact16_at(plan_.hot_depth, &why);
   if (packed == nullptr) {
     throw std::invalid_argument("ExecArtifacts::compact16: " + why);
-  }
-  return *packed;
-}
-
-template <typename T>
-const layout::CompactForest<T, layout::CompactNode8>&
-ExecArtifacts<T>::compact8() {
-  std::string why;
-  const auto* packed = try_compact8_at(plan_.hot_depth, &why);
-  if (packed == nullptr) {
-    throw std::invalid_argument("ExecArtifacts::compact8: " + why);
-  }
-  return *packed;
-}
-
-template <typename T>
-const layout::Q4Forest<T>& ExecArtifacts<T>::q4() {
-  std::string why;
-  const auto* packed = try_q4_at(plan_.hot_depth, &why);
-  if (packed == nullptr) {
-    throw std::invalid_argument("ExecArtifacts::q4: " + why);
   }
   return *packed;
 }

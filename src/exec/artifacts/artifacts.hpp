@@ -18,11 +18,16 @@
 //                              compile cache.
 //
 // The eager part of construction is the cheap summary set (stats, tables,
-// plan); each packed image is built lazily on first access and cached, so a
-// predictor binds exactly one image and verify checks the same objects the
-// engines execute.  The bundle borrows the forest — it must outlive the
-// ExecArtifacts object (engines that need to survive the forest copy their
-// image out, as LayoutForestEngine's bind constructor does).
+// plan); each packed image is built lazily on first access and cached.
+// make_predictor builds one bundle per layout-family predictor and plans
+// from it (c16/c8 pack over its plan and key tables, q4 takes its image,
+// jit:layout generates from its c16 image); `flint-forest inspect` reports
+// the same plan from a bundle of its own.  verify_model also builds its own
+// bundle and checks the images at hot depths 0 and 4 only — not the image
+// a predictor holds, whose plan may pick another hot depth.  The bundle
+// borrows the forest — it must outlive the ExecArtifacts object (engines
+// that need to survive the forest move or copy their image out, as take_q4
+// and LayoutForestEngine's bind constructor do).
 #pragma once
 
 #include <cstdint>
@@ -72,20 +77,23 @@ class ExecArtifacts {
     return plan_;
   }
 
-  /// Compact images at a given hot_depth (cached per depth).  The plain
-  /// accessors pack at plan().hot_depth and throw std::invalid_argument with
-  /// the packer's reason when the model is not representable at that width;
+  /// Compact images at a given hot_depth (cached per depth).  compact16()
+  /// packs at plan().hot_depth and throws std::invalid_argument with the
+  /// packer's reason when the model is not representable at that width;
   /// the try_ variants return nullptr and set `why` instead (verify walks
   /// every width without aborting).
   const layout::CompactForest<T, layout::CompactNode16>& compact16();
-  const layout::CompactForest<T, layout::CompactNode8>& compact8();
-  const layout::Q4Forest<T>& q4();
   const layout::CompactForest<T, layout::CompactNode16>* try_compact16_at(
       std::size_t hot_depth, std::string* why = nullptr);
   const layout::CompactForest<T, layout::CompactNode8>* try_compact8_at(
       std::size_t hot_depth, std::string* why = nullptr);
   const layout::Q4Forest<T>* try_q4_at(std::size_t hot_depth,
                                        std::string* why = nullptr);
+  /// Moves the 4-byte image at plan().hot_depth out of the bundle (packing
+  /// it first if needed), for an engine that outlives the bundle; a later
+  /// accessor re-packs.  std::nullopt, with `why` set, when it does not
+  /// pack.
+  std::optional<layout::Q4Forest<T>> take_q4(std::string* why = nullptr);
 
   /// The wide interpreter's packed image, via the Encoded engine (cached).
   const FlintForestEngine<T>& packed_engine();

@@ -16,9 +16,10 @@
 namespace flint::predict {
 
 /// Wraps a JIT-loaded classify symbol (ABI: `int f(const T*)`).  Owns the
-/// module; copies of the predictor share it.  Used by the legacy
-/// FLINT_LEGACY_JIT backends and directly by the experiment harness, which
-/// compiles its grid of modules up front.
+/// module; copies of the predictor share it.  The experiment harness builds
+/// these directly over the paper's code generators (ifelse, native, CAGS,
+/// asm), which are not make_predictor backends; it compiles its grid of
+/// modules up front.
 template <typename T>
 class JitPredictor final : public Predictor<T> {
  public:

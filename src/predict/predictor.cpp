@@ -9,22 +9,18 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
 
-#include "codegen/asm_x86.hpp"
+#include "codegen/cgen_layout.hpp"
 #include "core/hash.hpp"
 #include "core/thread_annotations.hpp"
-#include "codegen/cgen_cags.hpp"
-#include "codegen/cgen_ifelse.hpp"
-#include "codegen/cgen_layout.hpp"
-#include "codegen/cgen_native.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/interpreter.hpp"
 #include "exec/layout/compact.hpp"
-#include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
 #include "exec/simd/simd_engine.hpp"
@@ -123,6 +119,80 @@ std::span<const T> missing_transform(const MissingPolicy& policy,
   return scratch;
 }
 
+/// The batch boundary predict_batch and predict_scores share: the shape
+/// checks, the NaN gate and the missing-policy rewrite.  `api` prefixes
+/// every error; `k` is the outputs per sample (0 = one class id each).
+/// Returns the batch to dispatch: `features` itself, or `scratch` when a
+/// rewrite had to copy it.
+template <typename T>
+std::span<const T> admit_batch(const Predictor<T>& predictor, const char* api,
+                               std::span<const T> features,
+                               std::size_t n_samples, std::size_t out_size,
+                               std::size_t k, std::vector<T>& scratch) {
+  const std::size_t cols = predictor.feature_count();
+  if (features.size() != n_samples * cols) {
+    throw std::invalid_argument(
+        std::string(api) + ": feature span holds " +
+        std::to_string(features.size()) + " values, expected " +
+        std::to_string(n_samples * cols) + " (" + std::to_string(n_samples) +
+        " samples x " + std::to_string(cols) + " features)");
+  }
+  if (k == 0 && out_size < n_samples) {
+    throw std::invalid_argument(std::string(api) + ": output span too small");
+  }
+  if (out_size < n_samples * k) {
+    throw std::invalid_argument(
+        std::string(api) + ": output span holds " + std::to_string(out_size) +
+        " values, needs " + std::to_string(n_samples * k) + " (" +
+        std::to_string(n_samples) + " samples x " + std::to_string(k) +
+        " outputs)");
+  }
+  // Missing gate: unless the model declares missing support, NaN features
+  // are rejected — the FLInt engines order NaN bit patterns instead of
+  // comparing unordered, so for legacy models NaN is the one input class
+  // where backends could silently diverge from Forest::predict.
+  // Missing-capable models admit NaN (routed per-node by the backends'
+  // special paths) after the policy's boundary rewrites.
+  const MissingPolicy& policy = predictor.missing_policy();
+  if (!policy.allow_nan) {
+    for (std::size_t i = 0; i < features.size(); ++i) {
+      if (std::isnan(features[i])) {
+        throw std::invalid_argument(
+            std::string(api) + ": NaN feature at sample " +
+            std::to_string(i / cols) + ", feature " +
+            std::to_string(i % cols) +
+            " (this model declares no missing-value support; see README "
+            "\"NaN/zero semantics\")");
+      }
+    }
+  }
+  return missing_transform<T>(policy, features, scratch);
+}
+
+/// The model-width rows of a dataset, for the Dataset overloads: its values
+/// as they are when the widths match; for a wider dataset (the row stride
+/// differs from the model width) the leading feature_count() values of
+/// every row, compacted into `compact` once so the batch still flows
+/// through the blocked/parallel fast path instead of degrading to one
+/// re-validated predict_one per row.  A narrower dataset throws.
+template <typename T>
+std::span<const T> model_rows(const Predictor<T>& predictor, const char* api,
+                              const data::Dataset<T>& dataset,
+                              std::vector<T>& compact) {
+  const std::size_t cols = predictor.feature_count();
+  if (dataset.cols() < cols) {
+    throw std::invalid_argument(std::string(api) +
+                                ": dataset has fewer features than the model");
+  }
+  if (dataset.cols() == cols) return dataset.values();
+  compact.resize(dataset.rows() * cols);
+  for (std::size_t r = 0; r < dataset.rows(); ++r) {
+    const auto row = dataset.row(r);
+    std::copy(row.begin(), row.begin() + cols, compact.begin() + r * cols);
+  }
+  return compact;
+}
+
 }  // namespace
 
 template <typename T>
@@ -145,66 +215,18 @@ template <typename T>
 void Predictor<T>::predict_batch(std::span<const T> features,
                                  std::size_t n_samples,
                                  std::span<std::int32_t> out) const {
-  if (features.size() != n_samples * feature_count()) {
-    throw std::invalid_argument(
-        "predict_batch: feature span holds " + std::to_string(features.size()) +
-        " values, expected " + std::to_string(n_samples * feature_count()) +
-        " (" + std::to_string(n_samples) + " samples x " +
-        std::to_string(feature_count()) + " features)");
-  }
-  if (out.size() < n_samples) {
-    throw std::invalid_argument("predict_batch: output span too small");
-  }
-  if (n_samples == 0) return;
-  // Missing gate: unless the model declares missing support, NaN features
-  // are rejected — the FLInt engines order NaN bit patterns instead of
-  // comparing unordered, so for legacy models NaN is the one input class
-  // where backends could silently diverge from Forest::predict.
-  // Missing-capable models admit NaN (routed per-node by the backends'
-  // special paths) after the policy's boundary rewrites.
-  if (!missing_policy_.allow_nan) {
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (std::isnan(features[i])) {
-        throw std::invalid_argument(
-            "predict_batch: NaN feature at sample " +
-            std::to_string(i / feature_count()) + ", feature " +
-            std::to_string(i % feature_count()) +
-            " (this model declares no missing-value support; see README "
-            "\"NaN/zero semantics\")");
-      }
-    }
-  }
   std::vector<T> scratch;
-  const std::span<const T> data =
-      missing_transform<T>(missing_policy_, features, scratch);
-  do_predict_batch(data.data(), n_samples, out.data());
+  const std::span<const T> data = admit_batch<T>(
+      *this, "predict_batch", features, n_samples, out.size(), 0, scratch);
+  if (n_samples != 0) do_predict_batch(data.data(), n_samples, out.data());
 }
 
 template <typename T>
 void Predictor<T>::predict_batch(const data::Dataset<T>& dataset,
                                  std::span<std::int32_t> out) const {
-  if (dataset.cols() < feature_count()) {
-    throw std::invalid_argument(
-        "predict_batch: dataset has fewer features than the model");
-  }
-  if (out.size() < dataset.rows()) {
-    throw std::invalid_argument("predict_batch: output span too small");
-  }
-  if (dataset.cols() == feature_count()) {
-    predict_batch(dataset.values(), dataset.rows(), out);
-    return;
-  }
-  // Wider dataset: the row stride differs from the model width.  Compact
-  // the leading feature_count() values of every row into a tight matrix
-  // once, so the batch still flows through the blocked/parallel fast path
-  // instead of degrading to one re-validated predict_one per row.
-  const std::size_t cols = feature_count();
-  std::vector<T> compact(dataset.rows() * cols);
-  for (std::size_t r = 0; r < dataset.rows(); ++r) {
-    const auto row = dataset.row(r);
-    std::copy(row.begin(), row.begin() + cols, compact.begin() + r * cols);
-  }
-  predict_batch(compact, dataset.rows(), out);
+  std::vector<T> compact;
+  predict_batch(model_rows<T>(*this, "predict_batch", dataset, compact),
+                dataset.rows(), out);
 }
 
 template <typename T>
@@ -217,64 +239,19 @@ void Predictor<T>::predict_scores(std::span<const T> features,
         "' exposes no scores (majority-vote model; build the predictor from "
         "an additive leaf-value ForestModel)");
   }
-  if (features.size() != n_samples * feature_count()) {
-    throw std::invalid_argument(
-        "predict_scores: feature span holds " +
-        std::to_string(features.size()) + " values, expected " +
-        std::to_string(n_samples * feature_count()) + " (" +
-        std::to_string(n_samples) + " samples x " +
-        std::to_string(feature_count()) + " features)");
-  }
-  const auto k = static_cast<std::size_t>(num_outputs());
-  if (out.size() < n_samples * k) {
-    throw std::invalid_argument(
-        "predict_scores: output span holds " + std::to_string(out.size()) +
-        " values, needs " + std::to_string(n_samples * k) + " (" +
-        std::to_string(n_samples) + " samples x " + std::to_string(k) +
-        " outputs)");
-  }
-  if (n_samples == 0) return;
-  // Same missing gate as predict_batch: legacy models reject NaN (FLInt
-  // orders NaN bit patterns instead of comparing unordered), missing-capable
-  // models route it per the policy after the boundary rewrites.
-  if (!missing_policy_.allow_nan) {
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      if (std::isnan(features[i])) {
-        throw std::invalid_argument(
-            "predict_scores: NaN feature at sample " +
-            std::to_string(i / feature_count()) + ", feature " +
-            std::to_string(i % feature_count()) +
-            " (this model declares no missing-value support; see README "
-            "\"NaN/zero semantics\")");
-      }
-    }
-  }
   std::vector<T> scratch;
-  const std::span<const T> data =
-      missing_transform<T>(missing_policy_, features, scratch);
-  do_predict_scores(data.data(), n_samples, out.data());
+  const std::span<const T> data = admit_batch<T>(
+      *this, "predict_scores", features, n_samples, out.size(),
+      static_cast<std::size_t>(num_outputs()), scratch);
+  if (n_samples != 0) do_predict_scores(data.data(), n_samples, out.data());
 }
 
 template <typename T>
 void Predictor<T>::predict_scores(const data::Dataset<T>& dataset,
                                   std::span<T> out) const {
-  if (dataset.cols() < feature_count()) {
-    throw std::invalid_argument(
-        "predict_scores: dataset has fewer features than the model");
-  }
-  if (dataset.cols() == feature_count()) {
-    predict_scores(dataset.values(), dataset.rows(), out);
-    return;
-  }
-  // Wider dataset: compact the leading feature_count() values of every row
-  // once, exactly like predict_batch's Dataset overload.
-  const std::size_t cols = feature_count();
-  std::vector<T> compact(dataset.rows() * cols);
-  for (std::size_t r = 0; r < dataset.rows(); ++r) {
-    const auto row = dataset.row(r);
-    std::copy(row.begin(), row.begin() + cols, compact.begin() + r * cols);
-  }
-  predict_scores(compact, dataset.rows(), out);
+  std::vector<T> compact;
+  predict_scores(model_rows<T>(*this, "predict_scores", dataset, compact),
+                 dataset.rows(), out);
 }
 
 template <typename T>
@@ -315,6 +292,24 @@ double Predictor<T>::accuracy(const data::Dataset<T>& dataset) const {
 
 namespace {
 
+// ---------------------------------------------------------------------------
+// Engines.  Every backend is one engine plus one aggregation epilogue, so
+// one Predictor class serves them all (EnginePredictor below).  An engine
+// provides
+//
+//   predict_batch(features, n, out)      majority-vote class per sample
+//   predict_scores(features, n, leaf_values, k, base, out)
+//                                        base[j] + the sample's leaf-value
+//                                        rows summed IN TREE ORDER, no link
+//
+// The layout, q4 and SIMD engines implement that contract themselves; the
+// per-tree interpreters, the reference and jit:layout get the adapters in
+// this section.  Tree-order accumulation is the reference summation order,
+// so raw sums are bit-identical across every backend on identical inputs,
+// and the link (applied once, in double) preserves that
+// (docs/MODEL_FORMATS.md "Numerical contract").
+// ---------------------------------------------------------------------------
+
 /// First-maximum argmax over one sample's vote row — the exact tie rule of
 /// Forest::predict (lowest class id wins on equal votes).
 std::int32_t argmax_votes(const int* votes, int num_classes) {
@@ -325,15 +320,32 @@ std::int32_t argmax_votes(const int* votes, int num_classes) {
   return best;
 }
 
-// ---------------------------------------------------------------------------
-// Interpreter backends: blocked batch over engine.predict_tree.
+/// Seeds each sample's score row with the base margins (zeros when empty).
+template <typename T>
+void init_rows(std::span<const T> base, std::size_t k, std::size_t n_samples,
+               T* out) {
+  for (std::size_t s = 0; s < n_samples; ++s) {
+    for (std::size_t j = 0; j < k; ++j) {
+      out[s * k + j] = base.empty() ? T{0} : base[j];
+    }
+  }
+}
+
+/// Adds leaf-value row `row` into one sample's score row.
+template <typename T>
+void add_row(std::span<const T> leaf_values, std::size_t k, std::int32_t row,
+             T* srow) {
+  const T* lv = leaf_values.data() + static_cast<std::size_t>(row) * k;
+  for (std::size_t j = 0; j < k; ++j) srow[j] += lv[j];
+}
+
+// Interpreter engines: blocked batch over engine.predict_tree.
 //
-// Layout of the hot loop (the tentpole's cache story): samples are cut into
-// blocks of `block_size`; within a block, each tree classifies every sample
-// of the block before the next tree is touched.  A tree's node array is
-// therefore streamed through the cache once per block instead of once per
-// sample, and the B x C vote matrix is the only state carried across trees.
-// ---------------------------------------------------------------------------
+// Layout of the hot loop: samples are cut into blocks of `block_size`;
+// within a block, each tree classifies every sample of the block before the
+// next tree is touched.  A tree's node array is therefore streamed through
+// the cache once per block instead of once per sample, and the B x C vote
+// matrix (or the B x k score rows) is the only state carried across trees.
 
 /// Detects the key-remap surface: FlintForestEngine exposes a Signed key
 /// type (RadixKey variant); FloatForestEngine does not.
@@ -399,199 +411,107 @@ void blocked_tree_scan(const Engine& engine, std::size_t cols,
   }
 }
 
-/// Vote epilogue over the blocked scan (see the section comment above).
-template <typename T, typename Engine>
-void blocked_predict_batch(const Engine& engine, std::size_t cols,
-                           std::size_t block_size, const T* features,
-                           std::size_t n_samples, std::int32_t* out) {
-  const auto classes =
-      static_cast<std::size_t>(std::max(engine.num_classes(), 1));
-  std::vector<int> votes(block_size * classes);
-  blocked_tree_scan(
-      engine, cols, block_size, features, n_samples,
-      [&](std::size_t, std::size_t block) {
-        std::fill(votes.begin(), votes.begin() + block * classes, 0);
-      },
-      [&](std::size_t, std::size_t s, std::int32_t c) {
-        ++votes[s * classes + static_cast<std::size_t>(c)];
-      },
-      [&](std::size_t base, std::size_t block) {
-        for (std::size_t s = 0; s < block; ++s) {
-          out[base + s] = argmax_votes(votes.data() + s * classes,
-                                       static_cast<int>(classes));
-        }
-      });
-}
+/// The per-tree interpreters (FlintForestEngine, all variants with keys
+/// compiled in for RadixKey, and FloatForestEngine) under the engine
+/// contract: the blocked scan with a vote tally or a leaf-row add as the
+/// per-payload step.
+template <typename T, typename Interp>
+struct BlockedEngine {
+  Interp engine;
+  std::size_t cols;
+  std::size_t block_size;
 
-template <typename T>
-class FlintEnginePredictor final : public Predictor<T> {
- public:
-  FlintEnginePredictor(const trees::Forest<T>& forest,
-                       exec::FlintVariant variant, std::size_t block_size,
-                       std::string name = {})
-      : engine_(forest, variant),
-        block_size_(std::max<std::size_t>(block_size, 1)),
-        name_(name.empty() ? exec::to_string(variant) : std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override { return name_; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
+  void predict_batch(const T* features, std::size_t n_samples,
+                     std::int32_t* out) const {
+    const auto classes =
+        static_cast<std::size_t>(std::max(engine.num_classes(), 1));
+    std::vector<int> votes(block_size * classes);
+    blocked_tree_scan(
+        engine, cols, block_size, features, n_samples,
+        [&](std::size_t, std::size_t block) {
+          std::fill(votes.begin(), votes.begin() + block * classes, 0);
+        },
+        [&](std::size_t, std::size_t s, std::int32_t c) {
+          ++votes[s * classes + static_cast<std::size_t>(c)];
+        },
+        [&](std::size_t base, std::size_t block) {
+          for (std::size_t s = 0; s < block; ++s) {
+            out[base + s] = argmax_votes(votes.data() + s * classes,
+                                         static_cast<int>(classes));
+          }
+        });
   }
 
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    blocked_predict_batch(engine_, engine_.feature_count(), block_size_,
-                          features, n_samples, out);
+  void predict_scores(const T* features, std::size_t n_samples,
+                      std::span<const T> leaf_values, std::size_t k,
+                      std::span<const T> base, T* out) const {
+    init_rows(base, k, n_samples, out);
+    blocked_tree_scan(
+        engine, cols, block_size, features, n_samples,
+        [](std::size_t, std::size_t) {},
+        [&](std::size_t global, std::size_t, std::int32_t row) {
+          add_row(leaf_values, k, row, out + global * k);
+        },
+        [](std::size_t, std::size_t) {});
   }
-
- private:
-  exec::FlintForestEngine<T> engine_;
-  std::size_t block_size_;
-  std::string name_;
 };
 
+/// Semantics baseline: per-sample Forest::predict, and per-sample,
+/// per-tree Tree::predict accumulation, over an owned forest copy — what
+/// every other backend is property-tested against.
 template <typename T>
-class FloatEnginePredictor final : public Predictor<T> {
- public:
-  FloatEnginePredictor(const trees::Forest<T>& forest, std::size_t block_size)
-      : engine_(forest),
-        feature_count_(forest.feature_count()),
-        block_size_(std::max<std::size_t>(block_size, 1)) {}
+struct ReferenceEngine {
+  trees::Forest<T> forest;
 
-  [[nodiscard]] std::string name() const override { return "float"; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return feature_count_;
+  void predict_batch(const T* features, std::size_t n_samples,
+                     std::int32_t* out) const {
+    const std::size_t cols = forest.feature_count();
+    for (std::size_t s = 0; s < n_samples; ++s) {
+      out[s] = forest.predict({features + s * cols, cols});
+    }
   }
 
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    blocked_predict_batch(engine_, feature_count_, block_size_, features,
-                          n_samples, out);
+  void predict_scores(const T* features, std::size_t n_samples,
+                      std::span<const T> leaf_values, std::size_t k,
+                      std::span<const T> base, T* out) const {
+    const std::size_t cols = forest.feature_count();
+    init_rows(base, k, n_samples, out);
+    for (std::size_t s = 0; s < n_samples; ++s) {
+      const std::span<const T> row{features + s * cols, cols};
+      for (std::size_t t = 0; t < forest.size(); ++t) {
+        add_row(leaf_values, k, forest.tree(t).predict(row), out + s * k);
+      }
+    }
   }
-
- private:
-  exec::FloatForestEngine<T> engine_;
-  std::size_t feature_count_;
-  std::size_t block_size_;
 };
 
-/// Data-parallel SoA backend: SimdForestEngine steps lane-width samples
-/// through each tree in lockstep (exec/simd/).  The engine's predict_batch
-/// is already blocked and const-thread-safe, so this wrapper only adapts
-/// naming and shape plumbing.
+/// jit:layout: a generated tile-blocked body compiled from the compact
+/// image (codegen/cgen_layout.hpp), shared through the process-wide
+/// compile cache.  A vote module exports the batch body; a score module
+/// exports the accumulate body, with the leaf-value table and base offsets
+/// embedded as generated immediates (so the run-time table is not read).
+/// Const-thread-safe: generated scratch is function-local (stack arrays).
 template <typename T>
-class SimdPredictor final : public Predictor<T> {
- public:
-  SimdPredictor(const trees::Forest<T>& forest, exec::simd::SimdMode mode,
-                std::size_t block_size)
-      : engine_(forest, mode, block_size) {}
+struct JitLayoutEngine {
+  std::shared_ptr<const jit::JitModule> module;
+  void (*batch)(const T*, long long, std::int32_t*) = nullptr;
+  void (*accumulate)(const T*, long long, T*) = nullptr;
 
-  [[nodiscard]] std::string name() const override {
-    return std::string("simd:") + exec::simd::to_string(engine_.mode());
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
+  void predict_batch(const T* features, std::size_t n_samples,
+                     std::int32_t* out) const {
+    batch(features, static_cast<long long>(n_samples), out);
   }
 
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
+  void predict_scores(const T* features, std::size_t n_samples,
+                      std::span<const T> /*leaf_values*/, std::size_t /*k*/,
+                      std::span<const T> /*base*/, T* out) const {
+    accumulate(features, static_cast<long long>(n_samples), out);
   }
-
- private:
-  exec::simd::SimdForestEngine<T> engine_;
 };
 
-/// Compact cache-aware layout backend: LayoutForestEngine re-packs the
-/// forest into 16- or 8-byte nodes with implicit left children, hot-slab /
-/// DFS-clustered placement and narrowed threshold keys (exec/layout/).
-/// The engine's predict_batch is blocked + const-thread-safe, so the
-/// wrapper only adapts naming and shape plumbing.
-template <typename T>
-class LayoutPredictor final : public Predictor<T> {
- public:
-  LayoutPredictor(const trees::Forest<T>& forest,
-                  const exec::layout::LayoutPlan& plan,
-                  const exec::layout::KeyTableSet<T>& tables)
-      : engine_(forest, plan, tables) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "layout:" + engine_.plan().describe();
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
-  }
-
- private:
-  exec::layout::LayoutForestEngine<T> engine_;
-};
-
-/// 4-byte quantized layout backend (layout:q4 / quant:affine): binds an
-/// already-packed Q4Forest — the factory packs once, checks the
-/// quantization contract, then hands the image over — and serves batches
-/// through the batch-boundary integer pipeline.
-template <typename T>
-class Q4LayoutPredictor final : public Predictor<T> {
- public:
-  Q4LayoutPredictor(exec::layout::Q4Forest<T> packed,
-                    const exec::layout::LayoutPlan& plan,
-                    std::string name = {})
-      : engine_(std::move(packed), plan), name_(std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return name_.empty() ? "layout:" + engine_.plan().describe() : name_;
-  }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return engine_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return engine_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    engine_.predict_batch(features, n_samples, out);
-  }
-
- private:
-  exec::layout::Q4ForestEngine<T> engine_;
-  std::string name_;
-};
-
-// ---------------------------------------------------------------------------
-// Score backends: float-accumulate epilogues for additive leaf-value models
-// (model::ForestModel with SumScores aggregation).  Every backend
-// accumulates each sample's leaf-value rows IN TREE ORDER — the reference
-// summation order — so raw sums are bit-identical across reference,
-// interpreter, SIMD and layout paths on identical inputs, and the link
-// (applied once, in double) preserves that (docs/MODEL_FORMATS.md
-// "Numerical contract").
-// ---------------------------------------------------------------------------
-
-/// The semantic half of a ForestModel a score backend needs at run time
-/// (the structural forest lives inside each backend's packed engine).
+/// The semantic half of an additive leaf-value ForestModel the score
+/// epilogue needs at run time (the structural forest lives inside the
+/// engine).
 template <typename T>
 struct ScoreSpec {
   std::vector<T> leaf_values;  ///< rows x n_outputs
@@ -604,356 +524,81 @@ struct ScoreSpec {
     return {m.leaf_values, m.aggregation.base_score, m.n_outputs,
             m.aggregation.link, m.num_classes()};
   }
-
-  void init_rows(std::size_t n_samples, T* out) const {
-    const auto k = static_cast<std::size_t>(n_outputs);
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      for (std::size_t j = 0; j < k; ++j) {
-        out[s * k + j] = base.empty() ? T{0} : base[j];
-      }
-    }
-  }
 };
 
-/// Common glue: class plumbing, link application, and score -> class
-/// reduction (argmax first-max for k > 1; sigmoid margin > 0 for k == 1,
-/// the boundary falling to class 0 like a vote tie).  Subclasses provide
-/// accumulate_scores = base + per-tree leaf-row sums, NO link.
-template <typename T>
-class ScorePredictorBase : public Predictor<T> {
- public:
-  ScorePredictorBase(ScoreSpec<T> spec, std::size_t feature_count)
-      : spec_(std::move(spec)), feature_count_(feature_count) {}
-
-  [[nodiscard]] int num_classes() const noexcept override {
-    return spec_.num_classes;
-  }
-  [[nodiscard]] int num_outputs() const noexcept override {
-    return spec_.n_outputs;
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return feature_count_;
-  }
-
- protected:
-  virtual void accumulate_scores(const T* features, std::size_t n_samples,
-                                 T* out) const = 0;
-
-  void do_predict_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    accumulate_scores(features, n_samples, out);
-    model::apply_link(spec_.link, n_samples,
-                      static_cast<std::size_t>(spec_.n_outputs), out);
-  }
-
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    if (spec_.num_classes <= 0) {
-      throw std::logic_error(
-          "predict_batch: '" + this->name() +
-          "' serves a regression model with no classes; use predict_scores");
-    }
-    const auto k = static_cast<std::size_t>(spec_.n_outputs);
-    std::vector<T> scores(n_samples * k);
-    accumulate_scores(features, n_samples, scores.data());
-    // Links never change an argmax, so classes reduce from the raw sums
-    // directly — model::class_from_raw is the single home of the rule.
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      out[s] = model::class_from_raw(spec_.n_outputs, scores.data() + s * k);
-    }
-  }
-
-  ScoreSpec<T> spec_;
-  std::size_t feature_count_;
-};
-
-/// Score semantics baseline: per-sample, per-tree Tree::predict over an
-/// owned forest copy — the accumulation every other score backend is
-/// property-tested against.
-template <typename T>
-class ReferenceScorePredictor final : public ScorePredictorBase<T> {
- public:
-  explicit ReferenceScorePredictor(const model::ForestModel<T>& m)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        forest_(m.forest) {}
-
-  [[nodiscard]] std::string name() const override { return "reference"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    const auto& spec = this->spec_;
-    const auto k = static_cast<std::size_t>(spec.n_outputs);
-    const std::size_t cols = forest_.feature_count();
-    spec.init_rows(n_samples, out);
-    for (std::size_t s = 0; s < n_samples; ++s) {
-      const std::span<const T> row{features + s * cols, cols};
-      T* srow = out + s * k;
-      for (std::size_t t = 0; t < forest_.size(); ++t) {
-        const auto leaf_row =
-            static_cast<std::size_t>(forest_.tree(t).predict(row));
-        const T* lv = spec.leaf_values.data() + leaf_row * k;
-        for (std::size_t j = 0; j < k; ++j) srow[j] += lv[j];
-      }
-    }
-  }
-
- private:
-  trees::Forest<T> forest_;
-};
-
-/// Score epilogue over the same blocked scan: the vote bin becomes a
-/// leaf-row add.  Works for FlintForestEngine (all variants, keys compiled
-/// in for RadixKey) and FloatForestEngine.
+/// The one engine-generic predictor.  Without a ScoreSpec it serves the
+/// engine's vote tally.  With one, predict_scores is the engine's raw sums
+/// through the model's link, and predict_batch reduces the raw sums to a
+/// class (argmax first-max for k > 1; margin > 0 for k == 1, the boundary
+/// falling to class 0 like a vote tie) — links never change an argmax, and
+/// model::class_from_raw is the single home of that rule.
 template <typename T, typename Engine>
-void blocked_accumulate_scores(const Engine& engine, std::size_t cols,
-                               std::size_t block_size,
-                               const ScoreSpec<T>& spec, const T* features,
-                               std::size_t n_samples, T* out) {
-  const auto k = static_cast<std::size_t>(spec.n_outputs);
-  spec.init_rows(n_samples, out);
-  blocked_tree_scan(
-      engine, cols, block_size, features, n_samples,
-      [](std::size_t, std::size_t) {},
-      [&](std::size_t global, std::size_t, std::int32_t payload) {
-        const T* lv =
-            spec.leaf_values.data() + static_cast<std::size_t>(payload) * k;
-        T* srow = out + global * k;
-        for (std::size_t j = 0; j < k; ++j) srow[j] += lv[j];
-      },
-      [](std::size_t, std::size_t) {});
-}
-
-template <typename T>
-class FlintScorePredictor final : public ScorePredictorBase<T> {
+class EnginePredictor final : public Predictor<T> {
  public:
-  FlintScorePredictor(const model::ForestModel<T>& m,
-                      exec::FlintVariant variant, std::size_t block_size,
-                      std::string name = {})
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, variant),
-        block_size_(std::max<std::size_t>(block_size, 1)),
-        name_(name.empty() ? exec::to_string(variant) : std::move(name)) {}
+  EnginePredictor(Engine engine, std::string name,
+                  const trees::Forest<T>& forest,
+                  std::optional<ScoreSpec<T>> spec)
+      : engine_(std::move(engine)),
+        name_(std::move(name)),
+        num_classes_(spec ? spec->num_classes : forest.num_classes()),
+        feature_count_(forest.feature_count()),
+        spec_(std::move(spec)) {}
 
   [[nodiscard]] std::string name() const override { return name_; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    blocked_accumulate_scores(engine_, this->feature_count_, block_size_,
-                              this->spec_, features, n_samples, out);
-  }
-
- private:
-  exec::FlintForestEngine<T> engine_;
-  std::size_t block_size_;
-  std::string name_;
-};
-
-template <typename T>
-class FloatScorePredictor final : public ScorePredictorBase<T> {
- public:
-  FloatScorePredictor(const model::ForestModel<T>& m, std::size_t block_size)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest),
-        block_size_(std::max<std::size_t>(block_size, 1)) {}
-
-  [[nodiscard]] std::string name() const override { return "float"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    blocked_accumulate_scores(engine_, this->feature_count_, block_size_,
-                              this->spec_, features, n_samples, out);
-  }
-
- private:
-  exec::FloatForestEngine<T> engine_;
-  std::size_t block_size_;
-};
-
-/// SoA lane backend: SimdForestEngine's float-accumulate epilogue.
-template <typename T>
-class SimdScorePredictor final : public ScorePredictorBase<T> {
- public:
-  SimdScorePredictor(const model::ForestModel<T>& m,
-                     exec::simd::SimdMode mode, std::size_t block_size)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, mode, block_size) {}
-
-  [[nodiscard]] std::string name() const override {
-    return std::string("simd:") + exec::simd::to_string(engine_.mode());
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::simd::SimdForestEngine<T> engine_;
-};
-
-/// Compact-layout backend: leaf payloads are leaf-value row indices, so
-/// the key-width pack gates bound the table size exactly like class ids.
-template <typename T>
-class LayoutScorePredictor final : public ScorePredictorBase<T> {
- public:
-  LayoutScorePredictor(const model::ForestModel<T>& m,
-                       const exec::layout::LayoutPlan& plan,
-                       const exec::layout::KeyTableSet<T>& tables)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(m.forest, plan, tables) {}
-
-  [[nodiscard]] std::string name() const override {
-    return "layout:" + engine_.plan().describe();
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::layout::LayoutForestEngine<T> engine_;
-};
-
-/// 4-byte quantized SCORE backend: leaf payloads are leaf-value row
-/// indices bounded by the q4 key mask at pack time; accumulation is tree-
-/// order like every other score backend.
-template <typename T>
-class Q4LayoutScorePredictor final : public ScorePredictorBase<T> {
- public:
-  Q4LayoutScorePredictor(const model::ForestModel<T>& m,
-                         exec::layout::Q4Forest<T> packed,
-                         const exec::layout::LayoutPlan& plan,
-                         std::string name = {})
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        engine_(std::move(packed), plan),
-        name_(std::move(name)) {}
-
-  [[nodiscard]] std::string name() const override {
-    return name_.empty() ? "layout:" + engine_.plan().describe() : name_;
-  }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    engine_.predict_scores(features, n_samples, this->spec_.leaf_values,
-                           static_cast<std::size_t>(this->spec_.n_outputs),
-                           this->spec_.base, out);
-  }
-
- private:
-  exec::layout::Q4ForestEngine<T> engine_;
-  std::string name_;
-};
-
-/// jit:layout vote backend: a generated tile-blocked batch body compiled
-/// from the compact image (codegen/cgen_layout.hpp), shared through the
-/// process-wide compile cache.  Const-thread-safe: generated scratch is
-/// function-local (stack arrays).
-template <typename T>
-class LayoutJitPredictor final : public Predictor<T> {
- public:
-  using BatchFn = void(const T*, long long, std::int32_t*);
-
-  LayoutJitPredictor(std::shared_ptr<const jit::JitModule> module,
-                     const std::string& symbol, int num_classes,
-                     std::size_t feature_count)
-      : module_(std::move(module)),
-        num_classes_(num_classes),
-        feature_count_(feature_count) {
-    batch_ = module_->function<BatchFn>(symbol);
-  }
-
-  [[nodiscard]] std::string name() const override { return "jit:layout"; }
   [[nodiscard]] int num_classes() const noexcept override {
     return num_classes_;
   }
   [[nodiscard]] std::size_t feature_count() const noexcept override {
     return feature_count_;
   }
+  [[nodiscard]] int num_outputs() const noexcept override {
+    return spec_ ? spec_->n_outputs : 0;
+  }
 
  protected:
   void do_predict_batch(const T* features, std::size_t n_samples,
                         std::int32_t* out) const override {
-    batch_(features, static_cast<long long>(n_samples), out);
-  }
-
- private:
-  std::shared_ptr<const jit::JitModule> module_;
-  BatchFn* batch_ = nullptr;
-  int num_classes_ = 0;
-  std::size_t feature_count_ = 0;
-};
-
-/// jit:layout score backend: the generated accumulate-scores body embeds
-/// the leaf-value table and base offsets; link application and class
-/// reduction stay host-side in ScorePredictorBase, so results are
-/// bit-identical to the blocked interpreter accumulators.
-template <typename T>
-class LayoutJitScorePredictor final : public ScorePredictorBase<T> {
- public:
-  using AccumFn = void(const T*, long long, T*);
-
-  LayoutJitScorePredictor(const model::ForestModel<T>& m,
-                          std::shared_ptr<const jit::JitModule> module,
-                          const std::string& symbol)
-      : ScorePredictorBase<T>(ScoreSpec<T>::from(m), m.forest.feature_count()),
-        module_(std::move(module)) {
-    accumulate_ = module_->function<AccumFn>(symbol);
-  }
-
-  [[nodiscard]] std::string name() const override { return "jit:layout"; }
-
- protected:
-  void accumulate_scores(const T* features, std::size_t n_samples,
-                         T* out) const override {
-    accumulate_(features, static_cast<long long>(n_samples), out);
-  }
-
- private:
-  std::shared_ptr<const jit::JitModule> module_;
-  AccumFn* accumulate_ = nullptr;
-};
-
-/// Semantics baseline: per-sample Forest::predict over an owned model copy.
-template <typename T>
-class ReferencePredictor final : public Predictor<T> {
- public:
-  explicit ReferencePredictor(trees::Forest<T> forest)
-      : forest_(std::move(forest)) {
-    if (forest_.empty()) {
-      throw std::invalid_argument("ReferencePredictor: empty forest");
+    if (!spec_) {
+      engine_.predict_batch(features, n_samples, out);
+      return;
     }
-  }
-
-  [[nodiscard]] std::string name() const override { return "reference"; }
-  [[nodiscard]] int num_classes() const noexcept override {
-    return forest_.num_classes();
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept override {
-    return forest_.feature_count();
-  }
-
- protected:
-  void do_predict_batch(const T* features, std::size_t n_samples,
-                        std::int32_t* out) const override {
-    const std::size_t cols = forest_.feature_count();
+    if (num_classes_ <= 0) {
+      throw std::logic_error(
+          "predict_batch: '" + name_ +
+          "' serves a regression model with no classes; use predict_scores");
+    }
+    const auto k = static_cast<std::size_t>(spec_->n_outputs);
+    std::vector<T> raw(n_samples * k);
+    raw_scores(*spec_, features, n_samples, raw.data());
     for (std::size_t s = 0; s < n_samples; ++s) {
-      out[s] = forest_.predict({features + s * cols, cols});
+      out[s] = model::class_from_raw(spec_->n_outputs, raw.data() + s * k);
     }
   }
 
+  void do_predict_scores(const T* features, std::size_t n_samples,
+                         T* out) const override {
+    if (!spec_) {
+      Predictor<T>::do_predict_scores(features, n_samples, out);
+      return;
+    }
+    raw_scores(*spec_, features, n_samples, out);
+    model::apply_link(spec_->link, n_samples,
+                      static_cast<std::size_t>(spec_->n_outputs), out);
+  }
+
  private:
-  trees::Forest<T> forest_;
+  void raw_scores(const ScoreSpec<T>& spec, const T* features,
+                  std::size_t n_samples, T* out) const {
+    engine_.predict_scores(features, n_samples, spec.leaf_values,
+                           static_cast<std::size_t>(spec.n_outputs), spec.base,
+                           out);
+  }
+
+  Engine engine_;
+  std::string name_;
+  int num_classes_;
+  std::size_t feature_count_;
+  std::optional<ScoreSpec<T>> spec_;
 };
 
 }  // namespace
@@ -1200,17 +845,7 @@ std::vector<std::string> quant_backends() {
 }
 
 std::vector<std::string> jit_backends() {
-  std::vector<std::string> names = {"jit:layout"};
-#ifdef FLINT_LEGACY_JIT
-  // Retired flavors, kept compiling behind -DFLINT_LEGACY_JIT=ON for
-  // comparison experiments; they never serve special (NaN/categorical)
-  // forests natively and fall back to the encoded interpreter there.
-  names.insert(names.end(),
-               {"jit:ifelse-float", "jit:ifelse-flint", "jit:native-float",
-                "jit:native-flint", "jit:cags-float", "jit:cags-flint",
-                "jit:asm-x86"});
-#endif
-  return names;
+  return {"jit:layout"};
 }
 
 bool is_known_backend(std::string_view backend) {
@@ -1324,176 +959,87 @@ namespace {
 }
 
 template <typename T>
-std::unique_ptr<Predictor<T>> make_jit_predictor(
-    const trees::Forest<T>& forest, std::string_view flavor,
-    const PredictorOptions& options) {
-  codegen::CGenOptions copt;
-  copt.prefix = "forest";
-  codegen::GeneratedCode code;
-  if (flavor == "ifelse-float" || flavor == "ifelse-flint") {
-    copt.flint = flavor == "ifelse-flint";
-    code = codegen::generate_ifelse(forest, copt);
-  } else if (flavor == "native-float" || flavor == "native-flint") {
-    copt.flint = flavor == "native-flint";
-    code = codegen::generate_native(forest, copt);
-  } else if (flavor == "cags-float" || flavor == "cags-flint") {
-    if (options.branch_stats.size() != forest.size()) {
-      throw std::invalid_argument(
-          "make_predictor: jit:cags-* needs PredictorOptions::branch_stats "
-          "(one entry per tree; see trees::collect_branch_stats)");
-    }
-    copt.flint = flavor == "cags-flint";
-    code = codegen::generate_cags(
-        forest,
-        std::vector<trees::BranchStats>(options.branch_stats.begin(),
-                                        options.branch_stats.end()),
-        copt);
-  } else if (flavor == "asm-x86") {
-    code = codegen::generate_asm_x86(forest, copt);
-  } else {
-    throw_unknown_backend("jit:" + std::string(flavor));
-  }
-  return std::make_unique<JitPredictor<T>>(code, options.jit,
-                                           forest.num_classes(),
-                                           forest.feature_count());
+using OptionalSpec = std::optional<ScoreSpec<T>>;
+
+/// Pinned-width rejections name the backend and the packer's reason.
+[[noreturn]] void throw_unpackable(std::string_view mode,
+                                   const std::string& why) {
+  throw std::invalid_argument("make_predictor: layout:" + std::string(mode) +
+                              " cannot pack this model (" + why + ")");
 }
 
-/// The layout planning chain shared by the vote and score factories: key
-/// tables + forest stats computed once, "auto" falling back down the width
-/// chain (q4 -> c8 -> c16 -> Wide), pinned widths validated against the
-/// narrow fitness.  `plan.width == Wide` tells the caller to serve through
-/// the wide encoded interpreter instead.  When the plan lands on the
-/// 4-byte width, `q4` carries the image packed while deciding — an auto Q4
-/// verdict only stands once the pack succeeds AND the quantization
-/// contract holds (bit-exact ranks, or every affine feature preserving its
-/// thresholds); otherwise the plan is re-tuned with the 4-byte rung closed.
-/// A pinned layout:q4 skips the contract check (the caller asked for the
-/// quantized image, lossy or not) and throws when it cannot pack.
-template <typename T>
-struct LayoutChoice {
-  exec::layout::LayoutPlan plan;
-  exec::layout::KeyTableSet<T> tables;
-  std::optional<exec::layout::Q4Forest<T>> q4;
-};
+/// Wraps `engine` in the one predictor class.
+template <typename T, typename Engine>
+std::unique_ptr<Predictor<T>> wrap(Engine engine, std::string name,
+                                   const trees::Forest<T>& forest,
+                                   OptionalSpec<T> spec) {
+  return std::make_unique<EnginePredictor<T, Engine>>(
+      std::move(engine), std::move(name), forest, std::move(spec));
+}
 
+/// A per-tree interpreter under the blocked scan.
+template <typename T, typename Interp>
+BlockedEngine<T, Interp> blocked(Interp engine, const trees::Forest<T>& forest,
+                                 const PredictorOptions& options) {
+  return {std::move(engine), forest.feature_count(),
+          std::max<std::size_t>(options.block_size, 1)};
+}
+
+/// layout:auto|c16|c8|q4 (`mode` is the part after "layout:") and, with
+/// `affine`, quant:affine.  One ExecArtifacts build plans them all — the
+/// planning `inspect` reports.  A pinned width gets placement and traversal
+/// tuned for its own image size.  c16/c8 pack over the bundle's plan and
+/// key tables; the 4-byte width takes the bundle's image, which for auto
+/// only stands when the quantization contract holds (the bundle demotes
+/// otherwise), while pinned layout:q4 accepts any packable image, lossy or
+/// not.  quant:affine packs the pinned 4-byte plan with every tested
+/// feature forced through its calibrated affine map: the deterministic
+/// lossy configuration, same format and kernels.  Auto falls back to the
+/// wide encoded interpreter when no compact width fits.
 template <typename T>
-LayoutChoice<T> choose_layout(const trees::Forest<T>& forest,
-                              std::string_view mode,
-                              const PredictorOptions& options,
-                              bool force_affine = false) {
+std::unique_ptr<Predictor<T>> make_layout_predictor(
+    const trees::Forest<T>& forest, std::string_view mode, OptionalSpec<T> spec,
+    const PredictorOptions& options, bool affine = false) {
   namespace layout = exec::layout;
-  const trees::ForestStats stats = trees::forest_stats(forest);
-  const layout::CacheInfo cache = layout::detect_cache_info();
-  layout::KeyTableSet<T> tables = layout::build_key_tables(forest);
-  layout::NarrowFit fit;
-  fit.ranks_fit_int16 = tables.fits_int16();
-  fit.feature_count = forest.feature_count();
-  fit.num_classes = forest.num_classes();
-
-  std::optional<layout::NodeWidth> force_width;
-  if (mode == "c16" || mode == "c8" || mode == "q4") {
-    force_width = mode == "c16"  ? layout::NodeWidth::C16
-                  : mode == "c8" ? layout::NodeWidth::C8
-                                 : layout::NodeWidth::Q4;
-    const std::string reason = layout::width_unfit_reason(*force_width, fit);
-    if (!reason.empty()) {
-      throw std::invalid_argument("make_predictor: layout:" +
-                                  std::string(mode) + " cannot pack this "
-                                  "model (" + reason + ")");
-    }
+  std::optional<layout::NodeWidth> width;
+  if (mode == "c16") {
+    width = layout::NodeWidth::C16;
+  } else if (mode == "c8") {
+    width = layout::NodeWidth::C8;
+  } else if (mode == "q4") {
+    width = layout::NodeWidth::Q4;
   } else if (mode != "auto") {
     throw_unknown_backend("layout:" + std::string(mode));
   }
-  // Placement/traversal are tuned for the width actually packed (a pinned
-  // width gets its own image-size decisions, not auto's).
-  LayoutChoice<T> choice{layout::auto_plan(stats, fit, options.block_size,
-                                           cache, force_width),
-                         std::move(tables), std::nullopt};
-  if (choice.plan.width == layout::NodeWidth::Q4) {
-    std::string why;
-    auto packed = layout::try_pack_q4<T>(forest, choice.plan, choice.tables,
-                                         force_affine, &why);
-    if (force_width) {
-      if (!packed) {
-        throw std::invalid_argument("make_predictor: layout:q4 cannot pack "
-                                    "this model (" + why + ")");
-      }
-      choice.q4 = std::move(packed);
-    } else if (packed &&
-               (packed->exact() || packed->qplan.accuracy_contract())) {
-      choice.q4 = std::move(packed);
-    } else {
-      fit.allow_q4 = false;
-      choice.plan = layout::auto_plan(stats, fit, options.block_size, cache,
-                                      force_width);
+  exec::artifacts::ExecArtifacts<T> art(forest, options.block_size,
+                                        layout::detect_cache_info(), width);
+  if (width) {
+    if (const std::string why = layout::width_unfit_reason(*width, art.fit());
+        !why.empty()) {
+      throw_unpackable(mode, why);
     }
   }
-  return choice;
-}
-
-/// Builds a compact-layout predictor.  `mode` is "auto", "c16", "c8" or
-/// "q4".
-template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_predictor(
-    const trees::Forest<T>& forest, std::string_view mode,
-    const PredictorOptions& options) {
-  LayoutChoice<T> choice = choose_layout(forest, mode, options);
-  if (choice.plan.width == exec::layout::NodeWidth::Wide) {
-    // Nothing compact fits: serve through the proven wide interpreter.
-    return std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Encoded, options.block_size);
+  const layout::LayoutPlan& plan = art.plan();
+  if (plan.width == layout::NodeWidth::Wide) {
+    return wrap(blocked(exec::FlintForestEngine<T>(
+                            forest, exec::FlintVariant::Encoded),
+                        forest, options),
+                "encoded", forest, std::move(spec));
   }
-  if (choice.plan.width == exec::layout::NodeWidth::Q4) {
-    return std::make_unique<Q4LayoutPredictor<T>>(std::move(*choice.q4),
-                                                  choice.plan);
+  if (plan.width == layout::NodeWidth::Q4) {
+    std::string why;
+    auto image = affine ? layout::try_pack_q4<T>(forest, plan, art.tables(),
+                                                 /*force_affine=*/true, &why)
+                        : art.take_q4(&why);
+    if (!image) throw_unpackable(mode, why);
+    layout::Q4ForestEngine<T> engine(std::move(*image), plan);
+    std::string name = affine ? "quant:affine(" + plan.describe() + ")"
+                              : "layout:" + engine.plan().describe();
+    return wrap(std::move(engine), std::move(name), forest, std::move(spec));
   }
-  return std::make_unique<LayoutPredictor<T>>(forest, choice.plan,
-                                              choice.tables);
-}
-
-/// quant:affine — the deterministic lossy path: every feature with splits
-/// routes through its calibrated affine map inside the real 4-byte
-/// pipeline (same image format, kernels and batch-boundary quantization as
-/// layout:q4; only the per-feature quantizers differ).
-template <typename T>
-std::unique_ptr<Predictor<T>> make_quant_affine_predictor(
-    const trees::Forest<T>& forest, const PredictorOptions& options) {
-  LayoutChoice<T> choice =
-      choose_layout(forest, "q4", options, /*force_affine=*/true);
-  return std::make_unique<Q4LayoutPredictor<T>>(
-      std::move(*choice.q4), choice.plan,
-      "quant:affine(" + choice.plan.describe() + ")");
-}
-
-/// Builds a compact-layout SCORE predictor via the same planning chain;
-/// the key-width fitness sees num_classes = leaf-value rows, so c8/c16 are
-/// only picked when the row index fits the packed key.  Falls back to the
-/// encoded interpreter accumulator when nothing compact fits.
-template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_score_predictor(
-    const model::ForestModel<T>& m, std::string_view mode,
-    const PredictorOptions& options) {
-  LayoutChoice<T> choice = choose_layout(m.forest, mode, options);
-  if (choice.plan.width == exec::layout::NodeWidth::Wide) {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size);
-  }
-  if (choice.plan.width == exec::layout::NodeWidth::Q4) {
-    return std::make_unique<Q4LayoutScorePredictor<T>>(
-        m, std::move(*choice.q4), choice.plan);
-  }
-  return std::make_unique<LayoutScorePredictor<T>>(m, choice.plan,
-                                                   choice.tables);
-}
-
-template <typename T>
-std::unique_ptr<Predictor<T>> make_quant_affine_score_predictor(
-    const model::ForestModel<T>& m, const PredictorOptions& options) {
-  LayoutChoice<T> choice =
-      choose_layout(m.forest, "q4", options, /*force_affine=*/true);
-  return std::make_unique<Q4LayoutScorePredictor<T>>(
-      m, std::move(*choice.q4), choice.plan,
-      "quant:affine(" + choice.plan.describe() + ")");
+  layout::LayoutForestEngine<T> engine(forest, plan, art.tables());
+  std::string name = "layout:" + engine.plan().describe();
+  return wrap(std::move(engine), std::move(name), forest, std::move(spec));
 }
 
 /// Bumped whenever generate_layout's output changes shape, so stale cache
@@ -1537,13 +1083,18 @@ std::uint64_t layout_jit_key(std::uint64_t content, const jit::JitOptions& jopt,
   return h.digest();
 }
 
-/// jit:layout vote factory: one artifact build, one generated module,
-/// shared through the process-wide compile cache.
+/// jit:layout: one artifact build, one generated module from the bundle's
+/// c16 image, shared through the process-wide compile cache.  NaN default
+/// directions and categorical masks are generated code, so special forests
+/// are served natively, never via interpreter fallback.  A score spec makes
+/// the module accumulate scores instead of tallying votes.
 template <typename T>
 std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
-    const trees::Forest<T>& forest, const PredictorOptions& options) {
+    const trees::Forest<T>& forest, OptionalSpec<T> spec,
+    const PredictorOptions& options) {
   exec::artifacts::ExecArtifacts<T> art(forest, options.block_size);
-  const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image;
+  const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image =
+      nullptr;
   try {
     image = &art.compact16();
   } catch (const std::invalid_argument& e) {
@@ -1551,122 +1102,90 @@ std::unique_ptr<Predictor<T>> make_layout_jit_predictor(
         std::string("make_predictor: jit:layout cannot pack this model (") +
         e.what() + ")");
   }
-  codegen::LayoutCGenSpec<T> spec;
-  spec.vote = true;
-  spec.num_classes = forest.num_classes();
+  codegen::LayoutCGenSpec<T> gen_spec;
+  gen_spec.vote = !spec;
+  gen_spec.num_classes = spec ? spec->num_classes : forest.num_classes();
+  if (spec) {
+    gen_spec.n_outputs = static_cast<std::size_t>(spec->n_outputs);
+    gen_spec.leaf_values = spec->leaf_values;
+    gen_spec.base = spec->base;
+  }
   const auto gen = [&] {
-    return codegen::generate_layout(*image, art.plan(), spec);
+    return codegen::generate_layout(*image, art.plan(), gen_spec);
   };
   const jit::JitOptions tuned = layout_jit_toolchain(options.jit);
-  std::shared_ptr<const jit::JitModule> module;
+  JitLayoutEngine<T> engine;
   try {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), tuned, spec, art.plan()), gen,
+    engine.module = jit::CompileCache::instance().get_or_compile(
+        layout_jit_key(art.content_hash(), tuned, gen_spec, art.plan()), gen,
         tuned);
   } catch (const std::runtime_error&) {
     // Host-tuned flags can be rejected by exotic toolchains; the portable
     // flag set compiles the same module everywhere.
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), options.jit, spec, art.plan()),
+    engine.module = jit::CompileCache::instance().get_or_compile(
+        layout_jit_key(art.content_hash(), options.jit, gen_spec, art.plan()),
         gen, options.jit);
   }
-  return std::make_unique<LayoutJitPredictor<T>>(
-      std::move(module), "forest_predict_batch", forest.num_classes(),
-      forest.feature_count());
+  if (spec) {
+    engine.accumulate =
+        engine.module->template function<void(const T*, long long, T*)>(
+            "forest_accumulate_scores");
+  } else {
+    engine.batch = engine.module->template function<
+        void(const T*, long long, std::int32_t*)>("forest_predict_batch");
+  }
+  return wrap(std::move(engine), "jit:layout", forest, std::move(spec));
 }
 
-/// jit:layout score factory: same pipeline, score-mode spec (leaf table and
-/// base offsets become generated immediates).
+/// The backend-name dispatch both make_predictor overloads share: `spec`
+/// absent builds the vote epilogue, present the score epilogue.
 template <typename T>
-std::unique_ptr<Predictor<T>> make_layout_jit_score_predictor(
-    const model::ForestModel<T>& m, const PredictorOptions& options) {
-  exec::artifacts::ExecArtifacts<T> art(m.forest, options.block_size);
-  const exec::layout::CompactForest<T, exec::layout::CompactNode16>* image;
-  try {
-    image = &art.compact16();
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(
-        std::string("make_predictor: jit:layout cannot pack this model (") +
-        e.what() + ")");
-  }
-  codegen::LayoutCGenSpec<T> spec;
-  spec.vote = false;
-  spec.num_classes = m.num_classes();
-  spec.n_outputs = m.n_outputs;
-  spec.leaf_values = m.leaf_values;
-  spec.base = m.aggregation.base_score;
-  const auto gen = [&] {
-    return codegen::generate_layout(*image, art.plan(), spec);
-  };
-  const jit::JitOptions tuned = layout_jit_toolchain(options.jit);
-  std::shared_ptr<const jit::JitModule> module;
-  try {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), tuned, spec, art.plan()), gen,
-        tuned);
-  } catch (const std::runtime_error&) {
-    module = jit::CompileCache::instance().get_or_compile(
-        layout_jit_key(art.content_hash(), options.jit, spec, art.plan()),
-        gen, options.jit);
-  }
-  return std::make_unique<LayoutJitScorePredictor<T>>(
-      m, std::move(module), "forest_accumulate_scores");
-}
-
-/// Score-model backend dispatch (the vote path reuses the forest factory).
-template <typename T>
-std::unique_ptr<Predictor<T>> make_score_predictor(
-    const model::ForestModel<T>& m, std::string_view backend,
-    const PredictorOptions& options) {
+std::unique_ptr<Predictor<T>> build_predictor(const trees::Forest<T>& forest,
+                                              std::string_view backend,
+                                              OptionalSpec<T> spec,
+                                              const PredictorOptions& options) {
   if (backend == "reference") {
-    return std::make_unique<ReferenceScorePredictor<T>>(m);
+    if (forest.empty()) {
+      throw std::invalid_argument("ReferenceEngine: empty forest");
+    }
+    return wrap(ReferenceEngine<T>{forest}, "reference", forest,
+                std::move(spec));
   }
   if (backend == "float") {
-    return std::make_unique<FloatScorePredictor<T>>(m, options.block_size);
+    return wrap(blocked(exec::FloatForestEngine<T>(forest), forest, options),
+                "float", forest, std::move(spec));
   }
-  if (backend == "flint" || backend == "encoded") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size);
+  for (const auto variant :
+       {exec::FlintVariant::Encoded, exec::FlintVariant::Theorem1,
+        exec::FlintVariant::Theorem2, exec::FlintVariant::RadixKey}) {
+    const std::string name = exec::to_string(variant);
+    if (backend == name ||
+        (backend == "flint" && variant == exec::FlintVariant::Encoded)) {
+      return wrap(
+          blocked(exec::FlintForestEngine<T>(forest, variant), forest, options),
+          name, forest, std::move(spec));
+    }
   }
-  if (backend == "theorem1") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Theorem1, options.block_size);
+  for (const auto mode :
+       {exec::simd::SimdMode::Flint, exec::simd::SimdMode::Float}) {
+    const std::string name = std::string("simd:") + exec::simd::to_string(mode);
+    if (backend == name) {
+      return wrap(
+          exec::simd::SimdForestEngine<T>(forest, mode, options.block_size),
+          name, forest, std::move(spec));
+    }
   }
-  if (backend == "theorem2") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Theorem2, options.block_size);
-  }
-  if (backend == "radix") {
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::RadixKey, options.block_size);
-  }
-  if (backend == "simd:flint") {
-    return std::make_unique<SimdScorePredictor<T>>(
-        m, exec::simd::SimdMode::Flint, options.block_size);
-  }
-  if (backend == "simd:float") {
-    return std::make_unique<SimdScorePredictor<T>>(
-        m, exec::simd::SimdMode::Float, options.block_size);
-  }
-  if (backend.rfind("layout:", 0) == 0) {
-    return make_layout_score_predictor(m, backend.substr(7), options);
+  if (backend.starts_with("layout:")) {
+    return make_layout_predictor(forest, backend.substr(7), std::move(spec),
+                                 options);
   }
   if (backend == "quant:affine") {
-    return make_quant_affine_score_predictor(m, options);
+    return make_layout_predictor(forest, "q4", std::move(spec), options,
+                                 /*affine=*/true);
   }
   if (backend == "jit:layout") {
-    return make_layout_jit_score_predictor(m, options);
+    return make_layout_jit_predictor(forest, std::move(spec), options);
   }
-#ifdef FLINT_LEGACY_JIT
-  if (backend.rfind("jit:", 0) == 0 && is_known_backend(backend)) {
-    // The legacy code generators emit class-returning classify() functions
-    // only; for additive leaf-value models they fall back to the encoded
-    // FLInt interpreter, the name recording the fallback.
-    return std::make_unique<FlintScorePredictor<T>>(
-        m, exec::FlintVariant::Encoded, options.block_size,
-        "encoded(fallback:" + std::string(backend) + ")");
-  }
-#endif
   throw_unknown_backend(backend);
 }
 
@@ -1688,6 +1207,24 @@ void require_substitutable(const trees::Forest<T>& forest) {
   }
 }
 
+/// What both entry points do last: the ParallelPredictor wrapping, then
+/// the missing policy on the OUTERMOST predictor, so the boundary rewrite
+/// runs exactly once.
+template <typename T>
+std::unique_ptr<Predictor<T>> finish(std::unique_ptr<Predictor<T>> predictor,
+                                     const PredictorOptions& options,
+                                     const MissingPolicy& policy) {
+  if (options.threads != 1) {
+    // The parallel chunk must be at least the cache block, or the chunking
+    // would silently cap the blocked backends' block_size.
+    predictor = std::make_unique<ParallelPredictor<T>>(
+        std::move(predictor), options.threads,
+        std::max<std::size_t>(options.block_size, 256));
+  }
+  predictor->set_missing_policy(policy);
+  return predictor;
+}
+
 }  // namespace
 
 template <typename T>
@@ -1697,98 +1234,32 @@ std::unique_ptr<Predictor<T>> make_predictor(const model::ForestModel<T>& model,
   if (const std::string err = model.validate(); !err.empty()) {
     throw std::invalid_argument("make_predictor: invalid model: " + err);
   }
-  std::unique_ptr<Predictor<T>> predictor;
-  if (model.is_vote()) {
-    // Majority-vote models ARE v1 forests semantically; every backend —
-    // including the real jit:* code paths — serves them unchanged.
-    predictor = make_predictor(model.forest, backend, options);
-  } else {
-    predictor = make_score_predictor(model, backend, options);
-    if (options.threads != 1) {
-      predictor = std::make_unique<ParallelPredictor<T>>(
-          std::move(predictor), options.threads,
-          std::max<std::size_t>(options.block_size, 256));
-    }
-  }
+  OptionalSpec<T> spec;
+  if (!model.is_vote()) spec = ScoreSpec<T>::from(model);
+  auto predictor =
+      build_predictor(model.forest, backend, std::move(spec), options);
+  MissingPolicy policy;
   if (model.handles_missing) {
-    MissingPolicy policy;
     policy.allow_nan = true;
     policy.zero_as_missing = model.zero_as_missing;
     policy.substitute_nan = !model.forest.has_special_splits();
     if (policy.substitute_nan) require_substitutable(model.forest);
-    predictor->set_missing_policy(policy);
+  } else {
+    // Majority-vote models ARE v1 forests: the forest rule applies.
+    policy.allow_nan = model.is_vote() && model.forest.has_special_splits();
   }
-  return predictor;
+  return finish(std::move(predictor), options, policy);
 }
 
 template <typename T>
 std::unique_ptr<Predictor<T>> make_predictor(const trees::Forest<T>& forest,
                                              std::string_view backend,
                                              const PredictorOptions& options) {
-  std::unique_ptr<Predictor<T>> predictor;
-  if (backend == "reference") {
-    predictor = std::make_unique<ReferencePredictor<T>>(forest);
-  } else if (backend == "float") {
-    predictor =
-        std::make_unique<FloatEnginePredictor<T>>(forest, options.block_size);
-  } else if (backend == "flint" || backend == "encoded") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Encoded, options.block_size);
-  } else if (backend == "theorem1") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Theorem1, options.block_size);
-  } else if (backend == "theorem2") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::Theorem2, options.block_size);
-  } else if (backend == "radix") {
-    predictor = std::make_unique<FlintEnginePredictor<T>>(
-        forest, exec::FlintVariant::RadixKey, options.block_size);
-  } else if (backend == "simd:flint") {
-    predictor = std::make_unique<SimdPredictor<T>>(
-        forest, exec::simd::SimdMode::Flint, options.block_size);
-  } else if (backend == "simd:float") {
-    predictor = std::make_unique<SimdPredictor<T>>(
-        forest, exec::simd::SimdMode::Float, options.block_size);
-  } else if (backend.rfind("layout:", 0) == 0) {
-    predictor = make_layout_predictor(forest, backend.substr(7), options);
-  } else if (backend == "quant:affine") {
-    predictor = make_quant_affine_predictor(forest, options);
-  } else if (backend == "jit:layout") {
-    // Generated from the same compact image the layout engine executes —
-    // NaN default directions and categorical masks are generated code, so
-    // special forests are served natively, never via interpreter fallback.
-    predictor = make_layout_jit_predictor(forest, options);
-#ifdef FLINT_LEGACY_JIT
-  } else if (backend.rfind("jit:", 0) == 0 && is_known_backend(backend)) {
-    if (forest.has_special_splits()) {
-      // The legacy code generators know nothing of default directions or
-      // categorical bitsets and would mis-route NaN; such forests are
-      // served through the encoded interpreter, the name recording the
-      // fallback.
-      predictor = std::make_unique<FlintEnginePredictor<T>>(
-          forest, exec::FlintVariant::Encoded, options.block_size,
-          "encoded(fallback:" + std::string(backend) + ")");
-    } else {
-      predictor = make_jit_predictor(forest, backend.substr(4), options);
-    }
-#endif
-  } else {
-    throw_unknown_backend(backend);
-  }
-  if (options.threads != 1) {
-    // The parallel chunk must be at least the cache block, or the chunking
-    // would silently cap the blocked backends' block_size.
-    predictor = std::make_unique<ParallelPredictor<T>>(
-        std::move(predictor), options.threads,
-        std::max<std::size_t>(options.block_size, 256));
-  }
-  if (forest.has_special_splits()) {
-    // A forest carrying default directions routes NaN itself; admit it.
-    MissingPolicy policy;
-    policy.allow_nan = true;
-    predictor->set_missing_policy(policy);
-  }
-  return predictor;
+  // A forest carrying default directions routes NaN itself; admit it.
+  MissingPolicy policy;
+  policy.allow_nan = forest.has_special_splits();
+  return finish(build_predictor<T>(forest, backend, std::nullopt, options),
+                options, policy);
 }
 
 template class Predictor<float>;

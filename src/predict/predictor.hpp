@@ -1,9 +1,13 @@
 // predict/predictor — the batched, backend-agnostic inference layer.
 //
-// Every way this repo can execute a forest — the float reference
-// interpreter, the four FLInt interpreter variants, per-sample
-// Forest::predict, and JIT-compiled generated code — is wrapped behind one
-// interface:
+// Every backend is one execution engine plus one aggregation epilogue —
+// FLInt changes only the comparison inside an unchanged traversal.  The
+// engines are the reference (per-sample Forest::predict), the per-tree
+// interpreters (float and the four FLInt variants), the SoA SIMD lanes,
+// the compact 16/8-byte and quantized 4-byte layouts, and the generated
+// jit:layout module; the epilogue is a majority-vote tally, or for
+// additive leaf-value models a tree-order score sum plus the model's link.
+// Each pair is served behind one interface:
 //
 //     predictor->predict_batch(features, n_samples, out);
 //
@@ -45,7 +49,6 @@
 #include "jit/options.hpp"
 #include "model/forest_model.hpp"
 #include "trees/forest.hpp"
-#include "trees/tree_stats.hpp"
 
 namespace flint::predict {
 
@@ -177,8 +180,8 @@ class Predictor {
                                 std::int32_t* out) const = 0;
 
   /// Shape-checked score hook; must be const-thread-safe.  The default
-  /// rejects the call — only score-model backends (num_outputs() > 0)
-  /// override it.
+  /// rejects the call — the answer for every predictor with
+  /// num_outputs() == 0.
   virtual void do_predict_scores(const T* features, std::size_t n_samples,
                                  T* out) const;
 
@@ -216,15 +219,12 @@ struct PredictorOptions {
   unsigned threads = 1;
   /// Compiler settings for the "jit:" backends.
   jit::JitOptions jit;
-  /// Per-tree branch statistics; required by the legacy "jit:cags-*"
-  /// backends (FLINT_LEGACY_JIT builds only).
-  std::span<const trees::BranchStats> branch_stats;
 };
 
-/// Builds a predictor for `backend` from a trained forest.  The forest does
-/// not need to outlive the predictor.  Throws std::invalid_argument for an
-/// unknown backend name (message lists the vocabulary) and propagates JIT
-/// compilation failures.  Backends:
+/// Builds a predictor for `backend` from a trained majority-vote forest.
+/// The forest does not need to outlive the predictor.  Throws
+/// std::invalid_argument for an unknown backend name (message lists the
+/// vocabulary) and propagates JIT compilation failures.  Backends:
 ///
 ///   reference                 per-sample Forest::predict (votes allocated
 ///                             per call; the semantics baseline)
@@ -236,12 +236,12 @@ struct PredictorOptions {
 ///                             with FLInt integer compares (AVX2/NEON when
 ///                             built and supported, scalar lanes otherwise)
 ///   simd:float                SimdForestEngine, hardware-float compares
-///   layout:auto               LayoutForestEngine behind the LayoutPlan
-///                             auto-tuner (exec/layout/plan.hpp): compact
-///                             node width + hot-slab placement + traversal
-///                             picked from forest stats and cache sizes;
-///                             falls back to the wide encoded engine when
-///                             no compact width fits
+///   layout:auto               the LayoutPlan auto-tuner's verdict
+///                             (exec/layout/plan.hpp): compact node width +
+///                             hot-slab placement + traversal picked from
+///                             forest stats and cache sizes; falls back to
+///                             the wide encoded engine when no compact
+///                             width fits
 ///   layout:c16 | layout:c8    LayoutForestEngine pinned to 16- or 8-byte
 ///                             compact nodes (throws when the model cannot
 ///                             be narrowed to that width)
@@ -258,61 +258,41 @@ struct PredictorOptions {
 ///                             the deterministic lossy configuration the
 ///                             quantization benches and accuracy gates
 ///                             measure
-///   jit:layout                generated C compiled in-process from the SAME
-///                             CompactNode16 image the layout engine
-///                             executes (exec/artifacts): FLInt thresholds
-///                             as immediates, tile-blocked batch bodies,
-///                             NaN/categorical routing generated — no
-///                             interpreter fallback; modules are shared
+///   jit:layout                generated C compiled in-process from the
+///                             bundle's CompactNode16 image: FLInt
+///                             thresholds as immediates, tile-blocked batch
+///                             bodies, NaN/categorical routing generated —
+///                             no interpreter fallback; modules are shared
 ///                             through a content-hash compile cache
 ///                             (jit/cache.hpp)
 ///
-/// The seven legacy flavors (jit:ifelse-*, jit:native-*, jit:cags-*,
-/// jit:asm-x86) are accepted only when the library is built with
-/// -DFLINT_LEGACY_JIT=ON; default builds reject them like any unknown name.
-///
-/// Forests with default-direction or categorical nodes
-/// (Forest::has_special_splits) are served with NaN routing compiled in and
-/// the result's MissingPolicy accepts NaN — in every backend, jit:layout
-/// included.
+/// Every layout-family backend (layout:*, quant:affine, jit:layout) plans
+/// from one exec::artifacts::ExecArtifacts build — the bundle `flint-forest
+/// inspect` reports from — so name() carries the plan it runs, e.g.
+/// "layout:q4/dfs/il4".  `threads != 1` wraps the result in a
+/// ParallelPredictor.  Forests with default-direction or categorical nodes
+/// (Forest::has_special_splits) are served with NaN routing compiled in
+/// and the result's MissingPolicy accepts NaN — in every backend.
 template <typename T>
 [[nodiscard]] std::unique_ptr<Predictor<T>> make_predictor(
     const trees::Forest<T>& forest, std::string_view backend,
     const PredictorOptions& options = {});
 
-/// Model-aware factory: builds a predictor for any ForestModel.
-/// Majority-vote models route through the forest factory above — every
-/// backend name works unchanged.  Additive leaf-value models (GBDT,
-/// soft-vote, regression) get float-accumulate backends:
-///
-///   reference                 per-sample per-tree accumulation over the
-///                             model copy (the score semantics baseline)
-///   float/encoded/flint/
-///   theorem1/theorem2/radix   blocked predict_tree accumulation over the
-///                             matching interpreter engine
-///   simd:flint | simd:float   SimdForestEngine::predict_scores (lockstep
-///                             lane traversal, float-accumulate epilogue)
-///   layout:auto|c16|c8|q4     LayoutForestEngine / Q4ForestEngine
-///                             predict_scores (compact nodes; the leaf
-///                             payload is a leaf-value row index, so the
-///                             same key-width gates apply); auto falls back
-///                             to the encoded interpreter when nothing
-///                             compact fits
-///   quant:affine              Q4ForestEngine::predict_scores with the
-///                             all-affine plan
-///   jit:layout                generated accumulate-scores body over the
-///                             compact image with the model's leaf-value
-///                             table embedded (tree-order accumulation,
-///                             bit-identical to the blocked interpreters)
-///
-/// predict_batch on the result classifies via the aggregation (argmax /
-/// sigmoid threshold) when model.is_classifier(), and throws
-/// std::logic_error for regression models — predict_scores is their API.
-/// The model does not need to outlive the predictor.
+/// Model-aware factory: the same backend vocabulary and rules for any
+/// ForestModel.  A majority-vote model gets exactly what the forest
+/// overload builds for its forest.  An additive leaf-value model (GBDT,
+/// soft-vote, regression) gets the same engine with the score epilogue:
+/// predict_scores is base + the leaf-value rows the sample's trees land on,
+/// summed in tree order (bit-identical across backends), through the
+/// model's link; the compact layouts' key-width gates then bound the
+/// leaf-value row index like a class id.  predict_batch classifies from
+/// the raw sums when model.is_classifier() and throws std::logic_error for
+/// regression models — predict_scores is their API.  The model does not
+/// need to outlive the predictor.
 ///
 /// Models with handles_missing get a MissingPolicy that admits NaN and
 /// applies the model's zero_as_missing rewrite at the batch boundary;
-/// models without it keep the hard NaN reject.
+/// other score models keep the hard NaN reject.
 template <typename T>
 [[nodiscard]] std::unique_ptr<Predictor<T>> make_predictor(
     const model::ForestModel<T>& model, std::string_view backend,

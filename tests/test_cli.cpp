@@ -213,6 +213,50 @@ TEST_F(CliWorkflow, PredictLabelsOutput) {
   ASSERT_EQ(labeled.code, 0);
   // 60 label lines + 1 accuracy line.
   EXPECT_EQ(std::count(labeled.out.begin(), labeled.out.end(), '\n'), 61);
+  // --train-data fed only the retired jit:cags-* backends; predict no
+  // longer takes it.
+  auto train_data = run_cli({"predict", "--model", model_, "--data", csv_,
+                             "--train-data", csv_});
+  EXPECT_EQ(train_data.code, 2);
+  EXPECT_NE(train_data.err.find("unknown option --train-data"),
+            std::string::npos)
+      << train_data.err;
+}
+
+// `inspect` and the layout:auto predictor plan from the same ExecArtifacts
+// build, so the plan `inspect --json` reports is the one `predict` names in
+// its engine line — for a trained vote forest and for an imported XGBoost
+// model.
+TEST_F(CliWorkflow, InspectPlanIsThePredictorPlan) {
+  ASSERT_EQ(run_cli({"gen", "--dataset", "magic", "--rows", "400", "--out",
+                     csv_}).code, 0);
+  ASSERT_EQ(run_cli({"train", "--data", csv_, "--trees", "6", "--depth", "8",
+                     "--out", model_}).code, 0);
+  const std::string fixtures =
+      std::string(FLINT_SOURCE_DIR) + "/tests/fixtures/external/";
+  const std::string xgb_model = (dir_ / "xgb_binary.model").string();
+  ASSERT_EQ(run_cli({"convert", "--in", fixtures + "xgb_binary.json", "--out",
+                     xgb_model}).code, 0);
+  const auto between = [](const std::string& text, const std::string& open,
+                          char close) {
+    const auto pos = text.find(open);
+    if (pos == std::string::npos) return std::string();
+    const auto start = pos + open.size();
+    return text.substr(start, text.find(close, start) - start);
+  };
+  for (const auto& [model, data] :
+       {std::pair{model_, csv_},
+        std::pair{xgb_model, fixtures + "xgb_binary_input.csv"}}) {
+    const auto inspect = run_cli({"inspect", "--model", model, "--json", "yes"});
+    ASSERT_EQ(inspect.code, 0) << inspect.err;
+    const std::string plan = between(inspect.out, "\"plan\": \"", '"');
+    ASSERT_FALSE(plan.empty()) << inspect.out;
+    const auto predict = run_cli({"predict", "--model", model, "--data", data,
+                                  "--engine", "layout:auto"});
+    ASSERT_EQ(predict.code, 0) << predict.err;
+    EXPECT_EQ(between(predict.out, "(engine: layout:", ')'), plan)
+        << model << ": " << predict.out;
+  }
 }
 
 TEST(CliErrors, HelpAndUnknowns) {

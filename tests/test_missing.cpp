@@ -642,11 +642,6 @@ TEST(MissingGate, JitLayoutServesSpecialForestsNatively) {
     ASSERT_EQ(out[s], oracle_vote(forest, features.data() + s * cols))
         << "sample " << s;
   }
-#ifdef FLINT_LEGACY_JIT
-  // The retired flavors never learned NaN routing; they still fall back.
-  const auto legacy = make_predictor(forest, "jit:ifelse-flint");
-  EXPECT_EQ(legacy->name(), "encoded(fallback:jit:ifelse-flint)");
-#endif
   // Unknown jit names still fail fast instead of silently falling back.
   EXPECT_THROW((void)make_predictor(forest, "jit:warp"),
                std::invalid_argument);

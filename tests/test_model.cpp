@@ -2,18 +2,24 @@
 // trip, the external-model loaders (XGBoost JSON / LightGBM text / sklearn
 // JSON) with their bit-exact threshold transforms, the vendored fixture
 // gates (convert + reload + reproduce committed reference predictions
-// through reference, simd:flint and layout:auto), and predict_scores
+// through reference, simd:flint and layout:auto), predict_scores
 // property tests against explicit per-tree accumulation across every
-// score backend.
+// score backend, and the make_predictor contract pinned for every backend
+// name.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "data/synth.hpp"
@@ -553,7 +559,7 @@ TEST(PredictScores, AllBackendsMatchPerTreeAccumulation) {
     for (const char* backend :
          {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
           "simd:flint", "simd:float", "layout:auto", "layout:c16",
-          "jit:layout"}) {
+          "layout:c8", "layout:q4", "jit:layout"}) {
       const auto predictor = predict::make_predictor(m, backend);
       ASSERT_TRUE(predictor->supports_scores()) << backend;
       EXPECT_EQ(predictor->num_outputs(), k) << backend;
@@ -575,12 +581,6 @@ TEST(PredictScores, JitLayoutServesScoresNatively) {
   const auto m = make_score_model(1, model::Link::Sigmoid);
   const auto predictor = predict::make_predictor(m, "jit:layout");
   EXPECT_EQ(predictor->name(), "jit:layout");
-#ifdef FLINT_LEGACY_JIT
-  // The retired flavors only emit classify(); score models fall back.
-  const auto legacy = predict::make_predictor(m, "jit:native-flint");
-  EXPECT_NE(legacy->name().find("fallback"), std::string::npos)
-      << legacy->name();
-#endif
   EXPECT_THROW((void)predict::make_predictor(m, "jit:nonsense"),
                std::invalid_argument);
 }
@@ -659,6 +659,188 @@ TEST(PredictScores, NaNAndShapeGatesApply) {
   rows[1] = std::numeric_limits<float>::quiet_NaN();
   EXPECT_THROW(predictor->predict_scores(rows, 2, scores),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The make_predictor contract: for every backend name, name(), the shape
+// and the missing policy are pinned in a literal table (perfbench and the
+// CLI read the plan from name()), and classes and scores equal `reference`
+// bit for bit — at one thread and through a three-thread ParallelPredictor.
+// ---------------------------------------------------------------------------
+
+/// Expected name() of every backend at threads 1.  Every contract model
+/// fits every layout width with a cache-resident image and at least four
+/// trees, so the plans agree across models.
+const std::pair<const char*, const char*> kContractNames[] = {
+    {"reference", "reference"},
+    {"float", "float"},
+    {"encoded", "encoded"},
+    {"theorem1", "theorem1"},
+    {"theorem2", "theorem2"},
+    {"radix", "radix"},
+    {"flint", "encoded"},
+    {"simd:flint", "simd:flint"},
+    {"simd:float", "simd:float"},
+    {"layout:auto", "layout:c16/dfs/il4"},
+    {"layout:c16", "layout:c16/dfs/il4"},
+    {"layout:c8", "layout:c8/dfs/il4"},
+    {"layout:q4", "layout:q4/dfs/il4"},
+    {"quant:affine", "quant:affine(q4/dfs/il4)"},
+    {"jit:layout", "jit:layout"},
+};
+
+struct ContractCase {
+  std::string label;
+  model::ForestModel<float> model;
+  bool forest_overload;  ///< a vote model, also built from its bare forest
+  int classes;
+  int outputs;
+  std::size_t features;
+  predict::MissingPolicy policy;
+};
+
+/// Rows that hit the forest's own thresholds half of the time, plus NaN
+/// when the policy admits it.
+std::vector<float> contract_rows(const trees::Forest<float>& forest,
+                                 std::size_t n, bool with_nan) {
+  std::vector<float> splits;
+  for (std::size_t t = 0; t < forest.size(); ++t) {
+    for (const auto& node : forest.tree(t).nodes()) {
+      if (!node.is_leaf()) splits.push_back(node.split);
+    }
+  }
+  std::mt19937 rng(5);
+  std::uniform_real_distribution<float> dist(-3.0f, 3.0f);
+  std::vector<float> rows(n * forest.feature_count());
+  for (auto& v : rows) {
+    const auto pick = rng() % 8;
+    if (pick < 4) {
+      v = splits[rng() % splits.size()];
+    } else if (pick == 4 && with_nan) {
+      v = std::numeric_limits<float>::quiet_NaN();
+    } else {
+      v = dist(rng);
+    }
+  }
+  return rows;
+}
+
+std::vector<ContractCase> contract_cases() {
+  const auto dataset = flint::data::generate<float>(
+      flint::data::spec_by_name("magic"), 11, 600);
+  trees::ForestOptions options;
+  options.n_trees = 5;
+  options.tree.max_depth = 7;
+  const auto forest = trees::train_forest(dataset, options);
+  // Default-left flags on every third inner node: the v1 rule admits NaN
+  // for such a forest even though the model declares no missing support.
+  std::vector<trees::Tree<float>> flagged;
+  for (std::size_t t = 0; t < forest.size(); ++t) {
+    trees::Tree<float> tree = forest.tree(t);
+    for (std::size_t i = 0; i < tree.size(); i += 3) {
+      auto& node = tree.node(static_cast<std::int32_t>(i));
+      if (!node.is_leaf()) node.flags |= trees::kNodeDefaultLeft;
+    }
+    flagged.push_back(std::move(tree));
+  }
+  auto directions = model::from_vote_forest(
+      trees::Forest<float>(std::move(flagged), forest.num_classes()));
+  directions.handles_missing = false;
+
+  predict::MissingPolicy strict;
+  predict::MissingPolicy admit_nan;
+  admit_nan.allow_nan = true;
+  std::vector<ContractCase> cases;
+  cases.push_back({"vote", model::from_vote_forest(forest), true, 2, 0, 10,
+                   strict});
+  cases.push_back({"vote+directions", std::move(directions), true, 2, 0, 10,
+                   admit_nan});
+  cases.push_back({"k1 sigmoid", make_score_model(1, model::Link::Sigmoid),
+                   false, 2, 1, 11, strict});
+  cases.push_back({"k3 softmax", make_score_model(3, model::Link::Softmax),
+                   false, 3, 3, 11, strict});
+  cases.push_back({"k1 no link", make_score_model(1, model::Link::None),
+                   false, 0, 1, 11, strict});
+  cases.push_back({"xgb_missing.json",
+                   model::load_external_model<float>(kFixtureDir +
+                                                     "xgb_missing.json"),
+                   false, 2, 1, 4, admit_nan});
+  return cases;
+}
+
+TEST(FactoryContract, EveryBackendNameShapePolicyAndOutput) {
+  // The table covers the whole vocabulary.
+  std::vector<std::string> vocabulary = predict::interpreter_backends();
+  vocabulary.emplace_back("flint");
+  for (const auto& list :
+       {predict::simd_backends(), predict::layout_backends(),
+        predict::quant_backends(), predict::jit_backends()}) {
+    vocabulary.insert(vocabulary.end(), list.begin(), list.end());
+  }
+  ASSERT_EQ(vocabulary.size(), std::size(kContractNames));
+  for (const auto& [backend, name] : kContractNames) {
+    EXPECT_TRUE(predict::is_known_backend(backend)) << backend;
+    EXPECT_NE(std::find(vocabulary.begin(), vocabulary.end(), backend),
+              vocabulary.end())
+        << backend;
+  }
+
+  const std::size_t n = 300;  // > the 256-sample parallel chunk
+  for (const auto& c : contract_cases()) {
+    const auto rows =
+        contract_rows(c.model.forest, n, c.policy.allow_nan);
+    const auto reference = predict::make_predictor(c.model, "reference");
+    std::vector<std::int32_t> want_classes(n);
+    if (c.classes > 0) reference->predict_batch(rows, n, want_classes);
+    const auto k = static_cast<std::size_t>(c.outputs);
+    std::vector<float> want_scores(n * k);
+    if (k > 0) reference->predict_scores(rows, n, want_scores);
+
+    for (const auto& [backend, name] : kContractNames) {
+      for (const unsigned threads : {1u, 3u}) {
+        predict::PredictorOptions options;
+        options.threads = threads;
+        std::vector<std::unique_ptr<predict::Predictor<float>>> built;
+        built.push_back(predict::make_predictor(c.model, backend, options));
+        if (c.forest_overload) {
+          built.push_back(
+              predict::make_predictor(c.model.forest, backend, options));
+        }
+        for (const auto& p : built) {
+          SCOPED_TRACE(c.label + " / " + backend + " / threads " +
+                       std::to_string(threads));
+          EXPECT_EQ(p->name(), threads == 1 ? std::string(name)
+                                            : "parallel(" +
+                                                  std::string(name) + ",x3)");
+          EXPECT_EQ(p->num_classes(), c.classes);
+          EXPECT_EQ(p->num_outputs(), c.outputs);
+          EXPECT_EQ(p->feature_count(), c.features);
+          EXPECT_EQ(p->missing_policy().allow_nan, c.policy.allow_nan);
+          EXPECT_EQ(p->missing_policy().zero_as_missing,
+                    c.policy.zero_as_missing);
+          EXPECT_EQ(p->missing_policy().substitute_nan,
+                    c.policy.substitute_nan);
+          // quant:affine is lossy by contract: its name is all it pins.
+          if (std::string_view(backend) == "quant:affine") continue;
+          std::vector<std::int32_t> classes(n, -1);
+          if (c.classes > 0) {
+            p->predict_batch(rows, n, classes);
+            EXPECT_EQ(classes, want_classes);
+          } else {
+            EXPECT_THROW(p->predict_batch(rows, n, classes), std::logic_error);
+          }
+          if (k == 0) continue;
+          std::vector<float> scores(n * k);
+          p->predict_scores(rows, n, scores);
+          for (std::size_t i = 0; i < scores.size(); ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(scores[i]),
+                      std::bit_cast<std::uint32_t>(want_scores[i]))
+                << "score " << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

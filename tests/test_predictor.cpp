@@ -17,7 +17,6 @@
 #include "data/synth.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
-#include "trees/tree_stats.hpp"
 
 namespace {
 
@@ -77,7 +76,6 @@ class TrainedForest : public ::testing::Test {
     opt.tree.max_depth = 9;
     opt.tree.max_features = flint::trees::TrainOptions::kSqrtFeatures;
     forest_ = flint::trees::train_forest(split_.train, opt);
-    stats_ = flint::trees::collect_branch_stats(forest_, split_.train);
   }
 
   /// Per-sample Forest::predict over a flat feature matrix — the reference.
@@ -92,7 +90,6 @@ class TrainedForest : public ::testing::Test {
 
   flint::data::TrainTestSplit<float> split_;
   flint::trees::Forest<float> forest_;
-  std::vector<flint::trees::BranchStats> stats_;
 };
 
 class BackendEquivalence
@@ -100,9 +97,7 @@ class BackendEquivalence
       public ::testing::WithParamInterface<std::string> {};
 
 TEST_P(BackendEquivalence, BatchMatchesForestPredictOnAdversarialInputs) {
-  PredictorOptions opt;
-  opt.branch_stats = stats_;  // needed by jit:cags-*
-  const auto predictor = make_predictor(forest_, GetParam(), opt);
+  const auto predictor = make_predictor(forest_, GetParam());
   EXPECT_EQ(predictor->num_classes(), forest_.num_classes());
   EXPECT_EQ(predictor->feature_count(), forest_.feature_count());
 
@@ -149,13 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     JitBackends, BackendEquivalence,
-#ifdef FLINT_LEGACY_JIT
-    ::testing::Values("jit:layout", "jit:ifelse-float", "jit:ifelse-flint",
-                      "jit:native-float", "jit:native-flint", "jit:cags-float",
-                      "jit:cags-flint", "jit:asm-x86"),
-#else
     ::testing::Values("jit:layout"),
-#endif
     [](const auto& info) {
       std::string name = info.param.substr(4);
       for (auto& c : name) {
@@ -345,11 +334,6 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
     EXPECT_NE(message.find("warp"), std::string::npos);
     EXPECT_NE(message.find("theorem1"), std::string::npos) << message;
   }
-#ifdef FLINT_LEGACY_JIT
-  // jit:cags-* without branch stats is rejected up front.
-  EXPECT_THROW((void)make_predictor(forest_, "jit:cags-flint"),
-               std::invalid_argument);
-#else
   // Retired flavors are unknown names; the error steers to jit:layout.
   try {
     (void)make_predictor(forest_, "jit:cags-flint");
@@ -358,7 +342,6 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
     EXPECT_NE(std::string(e.what()).find("jit:layout"), std::string::npos)
         << e.what();
   }
-#endif
 }
 
 TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
@@ -581,12 +564,8 @@ TEST(PredictorNames, BackendListsAreConsistent) {
   EXPECT_EQ(quant.size(), 1u);
   EXPECT_EQ(quant.front(), "quant:affine");
   const auto jit = flint::predict::jit_backends();
-#ifdef FLINT_LEGACY_JIT
-  EXPECT_EQ(jit.size(), 8u);  // jit:layout + the seven retired flavors
-#else
   EXPECT_EQ(jit.size(), 1u);
   EXPECT_EQ(jit.front(), "jit:layout");
-#endif
   const auto help = flint::predict::backend_help();
   for (const auto& name : interp) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
