@@ -87,7 +87,7 @@ class LayoutGen {
     if (image_.identity_keys) return static_cast<S>(n.key);
     const auto& table =
         image_.tables.features[static_cast<std::size_t>(n.feature)];
-    return table.sorted[static_cast<std::size_t>(n.key)];
+    return table.keys()[static_cast<std::size_t>(n.key)];
   }
 
   /// The radix map is an involution on signed-int encodings: applying it to

@@ -1,16 +1,54 @@
 #include "exec/layout/narrow.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace flint::exec::layout {
 
 template <typename T>
+KeyTable<T>::KeyTable(std::vector<Signed> keys) : keys_(std::move(keys)) {
+  for (std::size_t i = 0; i + 1 < keys_.size(); ++i) {
+    if (!(keys_[i] < keys_[i + 1])) {
+      throw std::logic_error("KeyTable: table is not strictly sorted at entry " +
+                             std::to_string(i + 1));
+    }
+  }
+  if (keys_.size() > static_cast<std::size_t>(
+                         std::numeric_limits<std::int32_t>::max())) {
+    throw std::length_error("KeyTable: more keys than an int32 rank holds");
+  }
+  // Build bottom-up: each level separates the blocks of the one below,
+  // until one block (the root) covers them all; then store root first.
+  constexpr Signed kPad = std::numeric_limits<Signed>::max();
+  std::vector<std::vector<Signed>> levels;
+  levels.reserve(max_levels());
+  std::span<const Signed> below = keys_;
+  while (below.size() > kBlock) {
+    const std::size_t blocks = (below.size() + kBlock - 1) / kBlock;
+    std::vector<Signed> level((blocks + kBlock - 1) / kBlock * kBlock, kPad);
+    for (std::size_t j = 0; j + 1 < blocks; ++j) {
+      level[j] = below[j * kBlock + kBlock - 1];
+    }
+    levels.push_back(std::move(level));
+    below = levels.back();
+  }
+  levels_ = levels.size();
+  std::size_t total = 0;
+  for (const auto& level : levels) total += level.size();
+  index_.reserve(total);
+  for (std::size_t l = 0; l < levels_; ++l) {
+    const auto& level = levels[levels_ - 1 - l];
+    level_offset_[l] = static_cast<std::uint32_t>(index_.size());
+    index_.insert(index_.end(), level.begin(), level.end());
+  }
+}
+
+template <typename T>
 KeyTableSet<T> build_key_tables(const trees::Forest<T>& forest) {
   using Signed = typename core::FloatTraits<T>::Signed;
-  KeyTableSet<T> set;
-  set.features.resize(forest.feature_count());
+  std::vector<std::vector<Signed>> keys(forest.feature_count());
   for (std::size_t t = 0; t < forest.size(); ++t) {
     for (const auto& n : forest.tree(t).nodes()) {
       if (n.is_leaf()) continue;
@@ -22,26 +60,23 @@ KeyTableSet<T> build_key_tables(const trees::Forest<T>& forest) {
       // IEEE reference treats them as equal, and the rewrite makes
       // `x <= -0.0` agree for every input.
       const T split = n.split == T{0} ? T{0} : n.split;
-      set.features[static_cast<std::size_t>(n.feature)].sorted.push_back(
+      keys[static_cast<std::size_t>(n.feature)].push_back(
           core::to_radix_key(split));
     }
   }
-  for (std::size_t f = 0; f < set.features.size(); ++f) {
-    auto& keys = set.features[f].sorted;
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    keys.shrink_to_fit();
-    // Exactness check: strictly ascending (std::unique guarantees it, but
-    // the narrowing contract hangs on it) and every key at its own rank.
-    for (std::size_t i = 0; i + 1 < keys.size(); ++i) {
-      if (!(keys[i] < keys[i + 1])) {
-        throw std::logic_error("build_key_tables: table for feature " +
-                               std::to_string(f) + " is not strictly sorted");
-      }
-    }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      const Signed key = keys[i];
-      if (set.features[f].rank_of_key(key) != static_cast<std::int32_t>(i)) {
+  KeyTableSet<T> set;
+  set.features.reserve(keys.size());
+  for (std::size_t f = 0; f < keys.size(); ++f) {
+    auto& k = keys[f];
+    std::sort(k.begin(), k.end());
+    k.erase(std::unique(k.begin(), k.end()), k.end());
+    k.shrink_to_fit();
+    // The constructor checks strict order; the round trip checks the
+    // index: every key at its own rank.
+    set.features.emplace_back(std::move(k));
+    const auto& table = set.features.back();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      if (table.rank_of_key(table.keys()[i]) != static_cast<std::int32_t>(i)) {
         throw std::logic_error(
             "build_key_tables: rank round-trip failed for feature " +
             std::to_string(f) + " entry " + std::to_string(i));
@@ -57,15 +92,15 @@ std::int32_t rank_of_split(const KeyTable<T>& table, T split) {
   const auto radix = core::to_radix_key(normalized);
   const std::int32_t rank = table.rank_of_key(radix);
   if (static_cast<std::size_t>(rank) >= table.size() ||
-      table.sorted[static_cast<std::size_t>(rank)] != radix) {
+      table.keys()[static_cast<std::size_t>(rank)] != radix) {
     throw std::logic_error(
         "rank_of_split: split missing from its feature's key table");
   }
   return rank;
 }
 
-template struct KeyTable<float>;
-template struct KeyTable<double>;
+template class KeyTable<float>;
+template class KeyTable<double>;
 template struct KeyTableSet<float>;
 template struct KeyTableSet<double>;
 template KeyTableSet<float> build_key_tables<float>(const trees::Forest<float>&);

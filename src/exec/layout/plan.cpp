@@ -194,17 +194,19 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
 
   // Width: narrow to 8 bytes only once the 16-byte image spills L2 by a
   // wide margin (2x) AND the per-sample rank remap is amortized — the
-  // remap is one binary search per feature (~log2 of that feature's split
-  // count, from the cached per-feature stats), which must stay a small
-  // fraction of the traversal work (trees x mean leaf depth) it buys
-  // back.  c16-float needs no table at all.  A forced width (pinned
-  // layout:c16/c8 backend) skips the choice but still gets placement and
-  // traversal tuned for its own image size below.
+  // remap must stay a small fraction of the traversal work (trees x mean
+  // leaf depth) it buys back.  remap_cost prices the remap as ~log2(splits)
+  // halving steps per feature; KeyTable's search index reads one 64-byte
+  // block per level, about 5x cheaper on deep models' tables, so the price
+  // is conservative.  It stays so that no plan moves until a regime bench
+  // measures the crossover.  c16-float needs no table at all.  A forced
+  // width (pinned layout:c16/c8 backend) skips the choice but still gets
+  // placement and traversal tuned for its own image size below.
   if (force_width) {
     plan.width = *force_width;
   } else {
     plan.width = NodeWidth::C16;
-    double remap_cost = 0.0;  // binary-search steps per sample remap
+    double remap_cost = 0.0;  // halving-search steps per sample remap
     for (const auto& f : stats.features) {
       remap_cost += std::log2(1.0 + static_cast<double>(f.splits));
     }

@@ -18,12 +18,16 @@
 // Decision rules (documented in docs/ARCHITECTURE.md):
 //
 //   width      c8 when every feature's rank fits int16, the c16 image
-//              would spill L2 by 2x, *and* the per-sample rank remap
-//              (one ~log2(splits_f) binary search per feature, priced from
-//              the per-feature split counts) stays a small fraction of the
-//              traversal work it buys back; else c16; Wide only when even
-//              c16 cannot represent the model (feature index or class id
-//              overflow — fall back to the proven wide interpreter).
+//              would spill L2 by 2x, *and* the per-sample rank remap stays
+//              a small fraction of the traversal work it buys back; else
+//              c16; Wide only when even c16 cannot represent the model
+//              (feature index or class id overflow — fall back to the
+//              proven wide interpreter).  The remap is priced at
+//              ~log2(splits_f) halving steps per feature, from the
+//              per-feature split counts.  The KeyTable search index ranks
+//              in one 64-byte block per level, so that price is
+//              conservative; it stays so that plans do not move until a
+//              regime bench recalibrates it.
 //   hot_depth  0 (pure per-tree DFS clustering) while the packed image fits
 //              L2; otherwise the deepest root-block level whose slab
 //              estimate stays within half of L2, so every tree's top levels

@@ -339,9 +339,9 @@ void q4_predict_one_interleaved(const Q4Forest<T>& f, std::size_t interleave,
 #if defined(FLINT_SIMD_AVX2)
 /// AVX2 blocked batch over the 4-byte image: per block, WIDEN the
 /// already-quantized column block into feature-major int32 tiles of 8
-/// lanes (a cast, not a search — the binary-search remap the wider
-/// kernels pay per block is gone) and hand the walk to the q4 vector
-/// kernel.
+/// lanes (a cast, not a search — the rank remap the wider kernels pay per
+/// block ran once, at the batch boundary) and hand the walk to the q4
+/// vector kernel.
 template <typename KeyT, typename T>
 void q4_predict_blocked_avx2(const Q4Forest<T>& f, std::size_t block_size,
                              const KeyT* qkeys, std::size_t cols_a,

@@ -139,9 +139,9 @@ QuantPlan plan_from_tables(const exec::layout::KeyTableSet<T>& tables, int bits,
       fq.q_lo = 0;
       fq.q_hi = key_max;
       const double lo =
-          static_cast<double>(core::from_radix_key<T>(table.sorted.front()));
+          static_cast<double>(core::from_radix_key<T>(table.keys().front()));
       const double hi =
-          static_cast<double>(core::from_radix_key<T>(table.sorted.back()));
+          static_cast<double>(core::from_radix_key<T>(table.keys().back()));
       // Map [lo, hi] onto [1, key_max]: key 0 is reserved for "below every
       // split", so a sample under the range still routes left of everything.
       if (hi > lo) {
@@ -161,7 +161,7 @@ QuantPlan plan_from_tables(const exec::layout::KeyTableSet<T>& tables, int bits,
       std::int64_t prev = 0;
       bool have_prev = false;
       std::size_t survived = 0;
-      for (const auto key : table.sorted) {
+      for (const auto key : table.keys()) {
         const auto q = fq.quantize(
             static_cast<double>(core::from_radix_key<T>(key)));
         if (!have_prev || q != prev) ++survived;

@@ -64,7 +64,7 @@ std::optional<std::int32_t> checked_rank(
   const auto key = core::to_radix_key(normalize_zero(split));
   const auto r = table.rank_of_key(key);
   if (static_cast<std::size_t>(r) >= table.size() ||
-      table.sorted[static_cast<std::size_t>(r)] != key) {
+      table.keys()[static_cast<std::size_t>(r)] != key) {
     return std::nullopt;
   }
   return r;
@@ -859,9 +859,9 @@ void verify_tables(const trees::Forest<T>& forest,
     return;
   }
   for (std::size_t fi = 0; fi < tables.features.size(); ++fi) {
-    const auto& sorted = tables.features[fi].sorted;
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i - 1] >= sorted[i]) {
+    const auto keys = tables.features[fi].keys();
+    for (std::size_t i = 1; i < keys.size(); ++i) {
+      if (keys[i - 1] >= keys[i]) {
         s.add("tables.monotone", -1, static_cast<std::int64_t>(i),
               "feature " + std::to_string(fi) +
                   " rank table not strictly ascending at index " +

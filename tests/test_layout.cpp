@@ -7,11 +7,14 @@
 // narrowed SoA keys must decide exactly like the unified SIMD compare.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,11 +75,11 @@ std::vector<float> adversarial_pool(std::vector<float> seed_values) {
 
 TEST(KeyTable, RankPreservesFlintOrderOnAdversarialThresholds) {
   const auto thresholds = adversarial_pool({});
-  layout::KeyTable<float> table;
-  for (const float t : thresholds) table.sorted.push_back(to_radix_key(t));
-  std::sort(table.sorted.begin(), table.sorted.end());
-  table.sorted.erase(std::unique(table.sorted.begin(), table.sorted.end()),
-                     table.sorted.end());
+  std::vector<std::int32_t> keys;
+  for (const float t : thresholds) keys.push_back(to_radix_key(t));
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  const layout::KeyTable<float> table(std::move(keys));
 
   // Probe values: the thresholds themselves, their neighbors, randoms.
   auto probes = adversarial_pool(thresholds);
@@ -103,17 +106,132 @@ TEST(KeyTable, StrictOrderOnAdjacentBitPatterns) {
   // both are in the table — narrowing may never merge distinct thresholds.
   const float base = 1.5f;
   const auto bits = flint::core::si_bits(base);
-  layout::KeyTable<float> table;
+  std::vector<std::int32_t> keys;
   for (int d = -3; d <= 3; ++d) {
-    table.sorted.push_back(to_radix_key(flint::core::from_si_bits<float>(
-        bits + d)));
+    keys.push_back(to_radix_key(flint::core::from_si_bits<float>(bits + d)));
   }
-  std::sort(table.sorted.begin(), table.sorted.end());
-  for (std::size_t i = 0; i + 1 < table.sorted.size(); ++i) {
-    ASSERT_LT(table.sorted[i], table.sorted[i + 1]);
-    ASSERT_LT(table.rank_of_key(table.sorted[i]),
-              table.rank_of_key(table.sorted[i + 1]));
+  std::sort(keys.begin(), keys.end());
+  const layout::KeyTable<float> table(std::move(keys));
+  const auto sorted = table.keys();
+  for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+    ASSERT_LT(sorted[i], sorted[i + 1]);
+    ASSERT_LT(table.rank_of_key(sorted[i]), table.rank_of_key(sorted[i + 1]));
   }
+}
+
+/// Radix keys of the special patterns a table and a probe can hold: signed
+/// zeros, infinities, the denormal edges and NaN payloads of both signs.
+template <typename T>
+std::vector<typename layout::KeyTable<T>::Signed> special_radix_keys() {
+  using Limits = std::numeric_limits<T>;
+  using Signed = typename layout::KeyTable<T>::Signed;
+  const Signed quiet = flint::core::si_bits(Limits::quiet_NaN());
+  const T values[] = {T{0},
+                      -T{0},
+                      Limits::infinity(),
+                      -Limits::infinity(),
+                      Limits::denorm_min(),
+                      -Limits::denorm_min(),
+                      std::nextafter(Limits::min(), T{0}),
+                      -std::nextafter(Limits::min(), T{0}),
+                      Limits::quiet_NaN(),
+                      -Limits::quiet_NaN(),
+                      flint::core::from_si_bits<T>(quiet | 1),
+                      flint::core::from_si_bits<T>(quiet + 12345),
+                      Limits::signaling_NaN()};
+  std::vector<Signed> keys;
+  for (const T v : values) keys.push_back(to_radix_key(v));
+  return keys;
+}
+
+/// `n` distinct random keys, sorted: every other size holds the Signed
+/// extremes as real keys, and a size-dependent share of the specials joins.
+template <typename T>
+std::vector<typename layout::KeyTable<T>::Signed> random_table_keys(
+    std::size_t n, std::mt19937_64& rng) {
+  using Signed = typename layout::KeyTable<T>::Signed;
+  auto specials = special_radix_keys<T>();
+  std::shuffle(specials.begin(), specials.end(), rng);
+  std::set<Signed> keys;
+  if (n >= 2 && n % 2 == 0) {
+    keys.insert(std::numeric_limits<Signed>::min());
+    keys.insert(std::numeric_limits<Signed>::max());
+  }
+  for (std::size_t i = 0;
+       i < n % (specials.size() + 1) && keys.size() < n; ++i) {
+    keys.insert(specials[i]);
+  }
+  std::uniform_int_distribution<Signed> any(std::numeric_limits<Signed>::min(),
+                                            std::numeric_limits<Signed>::max());
+  while (keys.size() < n) keys.insert(any(rng));
+  return {keys.begin(), keys.end()};
+}
+
+template <typename T>
+class KeyTableIndex : public ::testing::Test {};
+using KeyWidths = ::testing::Types<float, double>;
+TYPED_TEST_SUITE(KeyTableIndex, KeyWidths);
+
+TYPED_TEST(KeyTableIndex, RankEqualsLowerBoundAtEveryLevelAndTail) {
+  // Sizes 0..600 cover every tail length of one to three levels; the large
+  // ones cross the 4096 / 65536 level boundaries of both block widths.
+  using Signed = typename layout::KeyTable<TypeParam>::Signed;
+  constexpr Signed kMin = std::numeric_limits<Signed>::min();
+  constexpr Signed kMax = std::numeric_limits<Signed>::max();
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 600; ++n) sizes.push_back(n);
+  for (const std::size_t n : {4095, 4096, 4097, 65535, 65536, 65537, 70000}) {
+    sizes.push_back(n);
+  }
+  std::mt19937_64 rng(19);
+  std::uniform_int_distribution<Signed> any(kMin, kMax);
+  std::size_t probes = 0;
+  for (const std::size_t n : sizes) {
+    const auto keys = random_table_keys<TypeParam>(n, rng);
+    const layout::KeyTable<TypeParam> table(keys);
+    ASSERT_EQ(table.size(), n);
+    ASSERT_TRUE(std::equal(keys.begin(), keys.end(), table.keys().begin(),
+                           table.keys().end()));
+    const auto check = [&](Signed probe) {
+      const auto expect =
+          std::lower_bound(keys.begin(), keys.end(), probe) - keys.begin();
+      ASSERT_EQ(table.rank_of_key(probe), expect)
+          << "n=" << n << " probe=" << probe;
+      ++probes;
+    };
+    for (const Signed k : keys) {
+      check(k);
+      if (k != kMin) check(k - 1);
+      if (k != kMax) check(k + 1);
+    }
+    for (const Signed probe : special_radix_keys<TypeParam>()) check(probe);
+    check(kMin);
+    check(kMax);
+    for (int i = 0; i < 64; ++i) check(any(rng));
+  }
+  EXPECT_GT(probes, 1000000u);
+}
+
+TYPED_TEST(KeyTableIndex, ConstructorRejectsUnsortedAndDuplicateKeys) {
+  using Signed = typename layout::KeyTable<TypeParam>::Signed;
+  using Table = layout::KeyTable<TypeParam>;
+  EXPECT_THROW(Table(std::vector<Signed>{1, 3, 2}), std::logic_error);
+  EXPECT_THROW(Table(std::vector<Signed>{1, 2, 2}), std::logic_error);
+  std::vector<Signed> keys(5000);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<Signed>(i) * 3;
+  }
+  EXPECT_NO_THROW(Table{keys});
+  auto swapped = keys;
+  std::swap(swapped[4000], swapped[4001]);
+  EXPECT_THROW(Table{swapped}, std::logic_error);
+  auto duplicate = keys;
+  duplicate[4999] = duplicate[4998];
+  EXPECT_THROW(Table{duplicate}, std::logic_error);
+  // An empty table ranks everything 0.
+  const Table empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.rank_of_key(std::numeric_limits<Signed>::max()), 0);
 }
 
 TEST(KeyTable, BuildFromForestCoversEverySplitExactly) {
@@ -134,7 +252,7 @@ TEST(KeyTable, BuildFromForestCoversEverySplitExactly) {
       const auto rank =
           static_cast<std::size_t>(table.rank_of_key(to_radix_key(split)));
       ASSERT_LT(rank, table.size());
-      EXPECT_EQ(table.sorted[rank], to_radix_key(split));
+      EXPECT_EQ(table.keys()[rank], to_radix_key(split));
     }
   }
 }

@@ -114,7 +114,7 @@ TEST(PlanFromTables, ForceAffineIsMonotoneAndMeasured) {
     EXPECT_LE(fq.fitness(), 1.0);
     // Monotone map: quantizing the sorted split set never decreases.
     std::int64_t prev = fq.q_lo - 1;
-    for (const auto key : tables.features[f].sorted) {
+    for (const auto key : tables.features[f].keys()) {
       const auto q = fq.quantize(static_cast<double>(
           flint::core::from_radix_key<float>(key)));
       EXPECT_GE(q, prev);

@@ -13,7 +13,8 @@
 //      and each documents its own corruption in `#` header comments.
 //   3. Single-field mutations draw the catalogued check id: taking a valid
 //      in-memory model and corrupting exactly one field must produce the
-//      specific diagnostic docs/VERIFICATION.md promises for it.
+//      specific diagnostic docs/VERIFICATION.md promises for it.  Key
+//      tables built from a different forest draw the tables.* checks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,10 +22,15 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/flint.hpp"
+#include "data/synth.hpp"
+#include "exec/layout/narrow.hpp"
 #include "model/forest_model.hpp"
 #include "model/loaders.hpp"
 #include "model/model_io.hpp"
@@ -379,6 +385,78 @@ TEST(VerifyMutations, DiagnosticFloodIsCappedNotUnbounded) {
   ASSERT_FALSE(report.ok());
   EXPECT_LE(report.diagnostics.size(), verify::Report::kMaxDiagnostics);
   EXPECT_GT(report.suppressed, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// 4. Key tables that do not match the forest draw the tables.* checks.  The
+//    KeyTable constructor rejects unsorted keys, so tables.monotone cannot
+//    be reached from here; tests/test_layout.cpp covers that rejection.
+// ---------------------------------------------------------------------------
+
+trees::Forest<float> trained_forest() {
+  const auto data =
+      flint::data::generate<float>(flint::data::magic_spec(), 5, 600);
+  trees::ForestOptions opt;
+  opt.n_trees = 4;
+  opt.tree.max_depth = 6;
+  return trees::train_forest(data, opt);
+}
+
+TEST(VerifyTables, TablesFromANudgedForestFlagExactlyTheNudgedNode) {
+  const auto forest = trained_forest();
+  // Nudge a split value no other node of its feature uses, so exactly one
+  // node of the original forest is missing from the nudged tables.
+  std::map<std::pair<std::int32_t, std::int32_t>, int> uses;
+  for (std::size_t t = 0; t < forest.size(); ++t) {
+    for (const auto& n : forest.tree(t).nodes()) {
+      if (n.is_leaf() || n.is_categorical()) continue;
+      ++uses[{n.feature, flint::core::to_radix_key(n.split)}];
+    }
+  }
+  std::int64_t tree = -1;
+  std::int64_t node = -1;
+  for (std::size_t t = 0; t < forest.size() && tree < 0; ++t) {
+    const auto& nodes = forest.tree(t).nodes();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const auto& n = nodes[i];
+      if (n.is_leaf() || n.is_categorical() || n.split == 0.0f) continue;
+      if (uses[{n.feature, flint::core::to_radix_key(n.split)}] == 1) {
+        tree = static_cast<std::int64_t>(t);
+        node = static_cast<std::int64_t>(i);
+        break;
+      }
+    }
+  }
+  ASSERT_GE(tree, 0) << "no split value is unique to one node";
+
+  auto nudged = forest;
+  auto& split = nudged.tree(static_cast<std::size_t>(tree))
+                    .node(static_cast<std::int32_t>(node))
+                    .split;
+  split = std::nextafter(split, std::numeric_limits<float>::infinity());
+  verify::Report report;
+  verify::verify_tables(forest, flint::exec::layout::build_key_tables(nudged),
+                        report);
+  ASSERT_EQ(report.diagnostics.size(), 1u) << checks_of(report);
+  EXPECT_EQ(report.diagnostics[0].check, "tables.exact");
+  EXPECT_EQ(report.diagnostics[0].tree, tree);
+  EXPECT_EQ(report.diagnostics[0].node, node);
+
+  // Control: the forest's own tables verify clean.
+  verify::Report clean;
+  verify::verify_tables(forest, flint::exec::layout::build_key_tables(forest),
+                        clean);
+  EXPECT_TRUE(clean.ok()) << checks_of(clean);
+}
+
+TEST(VerifyTables, TableSetOneFeatureShortDrawsShape) {
+  const auto forest = trained_forest();
+  auto tables = flint::exec::layout::build_key_tables(forest);
+  tables.features.pop_back();
+  verify::Report report;
+  verify::verify_tables(forest, tables, report);
+  ASSERT_EQ(report.diagnostics.size(), 1u) << checks_of(report);
+  EXPECT_EQ(report.diagnostics[0].check, "tables.shape");
 }
 
 }  // namespace
