@@ -31,6 +31,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     const auto model = flint::model::read_model<float>(in);
     if (!flint::verify::verify_model(model).ok()) __builtin_trap();
   });
+  // The version-sniffing entry every file load takes (load_any_model),
+  // over the same bytes.
+  flint::fuzz::guard([&] {
+    const auto model = flint::model::parse_any_model<float>(text);
+    if (!flint::verify::verify_model(model).ok()) __builtin_trap();
+  });
   // v1 path (vote forests) plus a bare tree block.
   flint::fuzz::guard([&] {
     std::istringstream in(text);

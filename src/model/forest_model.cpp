@@ -32,25 +32,26 @@ const char* to_string(Link link) {
   return "?";
 }
 
-LeafKind leaf_kind_from_string(const std::string& s) {
+LeafKind leaf_kind_from_string(std::string_view s) {
   if (s == "class") return LeafKind::ClassId;
   if (s == "vector") return LeafKind::ScoreVector;
   if (s == "scalar") return LeafKind::Scalar;
-  throw std::invalid_argument("unknown leaf kind '" + s +
+  throw std::invalid_argument("unknown leaf kind '" + std::string(s) +
                               "' (class|vector|scalar)");
 }
 
-AggregationMode aggregation_mode_from_string(const std::string& s) {
+AggregationMode aggregation_mode_from_string(std::string_view s) {
   if (s == "vote") return AggregationMode::ArgmaxVotes;
   if (s == "sum") return AggregationMode::SumScores;
-  throw std::invalid_argument("unknown aggregation '" + s + "' (vote|sum)");
+  throw std::invalid_argument("unknown aggregation '" + std::string(s) +
+                              "' (vote|sum)");
 }
 
-Link link_from_string(const std::string& s) {
+Link link_from_string(std::string_view s) {
   if (s == "none") return Link::None;
   if (s == "sigmoid") return Link::Sigmoid;
   if (s == "softmax") return Link::Softmax;
-  throw std::invalid_argument("unknown link '" + s +
+  throw std::invalid_argument("unknown link '" + std::string(s) +
                               "' (none|sigmoid|softmax)");
 }
 

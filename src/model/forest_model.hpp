@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trees/forest.hpp"
@@ -56,9 +57,9 @@ enum class Link : std::uint8_t { None, Sigmoid, Softmax };
 
 /// Parses the to_string spellings back; throws std::invalid_argument on an
 /// unknown token (used by the v2 text reader).
-[[nodiscard]] LeafKind leaf_kind_from_string(const std::string& s);
-[[nodiscard]] AggregationMode aggregation_mode_from_string(const std::string& s);
-[[nodiscard]] Link link_from_string(const std::string& s);
+[[nodiscard]] LeafKind leaf_kind_from_string(std::string_view s);
+[[nodiscard]] AggregationMode aggregation_mode_from_string(std::string_view s);
+[[nodiscard]] Link link_from_string(std::string_view s);
 
 /// Aggregation descriptor.  `base_score` holds one offset per output in
 /// margin space (empty = all zeros); it is added before the link.

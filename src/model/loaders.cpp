@@ -87,7 +87,7 @@ template <typename T>
 ForestModel<T> load_external_model(const std::string& path) {
   const std::string content = read_file(path);
   const ModelFormat format = detect_model_format(content);
-  if (format == ModelFormat::Native) return load_any_model<T>(path);
+  if (format == ModelFormat::Native) return parse_any_model<T>(content);
   if (format == ModelFormat::XgboostJson) return load_xgboost_json<T>(content);
   if (format == ModelFormat::LightgbmText) {
     return load_lightgbm_text<T>(content);

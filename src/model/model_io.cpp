@@ -25,22 +25,23 @@ std::string hex_bits(T v) {
 }
 
 template <typename T>
-T parse_bits(trees::LineReader& reader, const std::string& token,
-             const std::string& line) {
-  return trees::parse_hex_bits<T>(reader, token, line, "value bits");
+T parse_bits(const trees::LineReader& reader, std::string_view token,
+             std::string_view line) {
+  return trees::parse_hex_bits<T>(reader, token, line,
+                                  [] { return std::string("value bits"); });
 }
 
-/// Parses a "<keyword> ..." line, failing with the keyword it wanted and
-/// the token it found.
-std::istringstream expect_keyword(trees::LineReader& reader,
-                                  const std::string& line,
-                                  const std::string& keyword) {
-  std::istringstream ls(line);
-  std::string tag;
-  if (!(ls >> tag) || tag != keyword) {
-    reader.fail("expected '" + keyword + " ...' (near '" + tag + "')", line);
+/// Starts a "<keyword> ..." line, failing with the keyword it wanted and
+/// the token it found; returns the tokens after the keyword.
+trees::Tokens expect_keyword(const trees::LineReader& reader,
+                             std::string_view line, std::string_view keyword) {
+  trees::Tokens tokens(line);
+  if (const std::string_view tag = tokens.next(); tag != keyword) {
+    reader.fail("expected '" + std::string(keyword) + " ...' (near '" +
+                    std::string(tag) + "')",
+                line);
   }
-  return ls;
+  return tokens;
 }
 
 }  // namespace
@@ -83,24 +84,24 @@ void write_model(std::ostream& out, const ForestModel<T>& model) {
   }
 }
 
+namespace {
+
+/// Parses a v2 container from the reader's next content line on.
 template <typename T>
-ForestModel<T> read_model(std::istream& in) {
-  trees::LineReader reader(in);
-  const std::string header_line = reader.next();
-  std::istringstream header(header_line);
-  std::string tag, version;
+ForestModel<T> read_v2(trees::LineReader& reader) {
+  const std::string_view header_line = reader.next();
+  trees::Tokens header(header_line);
   std::size_t n_trees = 0;
-  if (!(header >> tag >> version >> n_trees) || tag != "forest" ||
-      version != "v2") {
+  if (header.next() != "forest" || header.next() != "v2" ||
+      !trees::parse_int(header.next(), n_trees)) {
     reader.fail("expected 'forest v2 <trees>' header", header_line);
   }
 
   ForestModel<T> model;
   {
-    std::string line = reader.next();
-    auto ls = expect_keyword(reader, line, "kind");
-    std::string kind;
-    if (!(ls >> kind)) reader.fail("missing leaf kind", line);
+    const std::string_view line = reader.next();
+    const std::string_view kind = expect_keyword(reader, line, "kind").next();
+    if (kind.empty()) reader.fail("missing leaf kind", line);
     try {
       model.leaf_kind = leaf_kind_from_string(kind);
     } catch (const std::invalid_argument& e) {
@@ -108,10 +109,9 @@ ForestModel<T> read_model(std::istream& in) {
     }
   }
   {
-    std::string line = reader.next();
-    auto ls = expect_keyword(reader, line, "agg");
-    std::string mode;
-    if (!(ls >> mode)) reader.fail("missing aggregation mode", line);
+    const std::string_view line = reader.next();
+    const std::string_view mode = expect_keyword(reader, line, "agg").next();
+    if (mode.empty()) reader.fail("missing aggregation mode", line);
     try {
       model.aggregation.mode = aggregation_mode_from_string(mode);
     } catch (const std::invalid_argument& e) {
@@ -119,10 +119,9 @@ ForestModel<T> read_model(std::istream& in) {
     }
   }
   {
-    std::string line = reader.next();
-    auto ls = expect_keyword(reader, line, "link");
-    std::string link;
-    if (!(ls >> link)) reader.fail("missing link", line);
+    const std::string_view line = reader.next();
+    const std::string_view link = expect_keyword(reader, line, "link").next();
+    if (link.empty()) reader.fail("missing link", line);
     try {
       model.aggregation.link = link_from_string(link);
     } catch (const std::invalid_argument& e) {
@@ -131,49 +130,44 @@ ForestModel<T> read_model(std::istream& in) {
   }
   int outputs = 0;
   {
-    std::string line = reader.next();
-    auto ls = expect_keyword(reader, line, "outputs");
-    if (!(ls >> outputs) || outputs < 0) {
+    const std::string_view line = reader.next();
+    if (!trees::parse_int(expect_keyword(reader, line, "outputs").next(),
+                          outputs) ||
+        outputs < 0) {
       reader.fail("bad outputs count", line);
     }
     model.n_outputs = outputs;
   }
   int classes = 0;
   {
-    std::string line = reader.next();
+    std::string_view line = reader.next();
     // Optional `missing <handles> <zero_as_missing>` line (probe-style,
     // like `base` below): absent means the pre-missing default (hard NaN
     // gate at the predictor boundary).
-    {
-      std::istringstream probe(line);
-      std::string first;
-      probe >> first;
-      if (first == "missing") {
-        int handles = 0, zero = 0;
-        if (!(probe >> handles >> zero) || handles < 0 || handles > 1 ||
-            zero < 0 || zero > 1 || (zero && !handles)) {
-          reader.fail("bad missing line (expected 'missing 0|1 0|1')", line);
-        }
-        model.handles_missing = handles != 0;
-        model.zero_as_missing = zero != 0;
-        line = reader.next();
+    if (trees::Tokens probe(line); probe.next() == "missing") {
+      int handles = 0, zero = 0;
+      if (!trees::parse_int(probe.next(), handles) ||
+          !trees::parse_int(probe.next(), zero) || handles < 0 ||
+          handles > 1 || zero < 0 || zero > 1 || (zero && !handles)) {
+        reader.fail("bad missing line (expected 'missing 0|1 0|1')", line);
       }
+      model.handles_missing = handles != 0;
+      model.zero_as_missing = zero != 0;
+      line = reader.next();
     }
-    auto ls = expect_keyword(reader, line, "classes");
-    if (!(ls >> classes) || classes < 0) {
+    if (!trees::parse_int(expect_keyword(reader, line, "classes").next(),
+                          classes) ||
+        classes < 0) {
       reader.fail("bad classes count", line);
     }
   }
 
   std::size_t rows = 0;
   if (model.leaf_kind != LeafKind::ClassId) {
-    std::string line = reader.next();
-    std::istringstream probe(line);
-    std::string first;
-    probe >> first;
-    if (first == "base") {
-      std::string tok;
-      while (probe >> tok) {
+    std::string_view line = reader.next();
+    if (trees::Tokens probe(line); probe.next() == "base") {
+      for (std::string_view tok = probe.next(); !tok.empty();
+           tok = probe.next()) {
         model.aggregation.base_score.push_back(
             parse_bits<T>(reader, tok, line));
       }
@@ -186,10 +180,10 @@ ForestModel<T> read_model(std::istream& in) {
       }
       line = reader.next();
     }
-    auto ls = expect_keyword(reader, line, "leaf_values");
+    trees::Tokens ls = expect_keyword(reader, line, "leaf_values");
     std::size_t k = 0;
-    if (!(ls >> rows >> k) || k != static_cast<std::size_t>(outputs) ||
-        rows == 0) {
+    if (!trees::parse_int(ls.next(), rows) || !trees::parse_int(ls.next(), k) ||
+        k != static_cast<std::size_t>(outputs) || rows == 0) {
       reader.fail("bad leaf_values header (expected 'leaf_values <rows> " +
                       std::to_string(outputs) + "')",
                   line);
@@ -202,17 +196,16 @@ ForestModel<T> read_model(std::istream& in) {
     // (push_back grows geometrically) instead of pre-committing it.
     model.leaf_values.reserve(std::min(rows * k, std::size_t{1} << 20));
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::string vline = reader.next();
-      std::istringstream vs(vline);
-      std::string vtag;
-      if (!(vs >> vtag) || vtag != "v") {
+      const std::string_view vline = reader.next();
+      trees::Tokens vs(vline);
+      if (const std::string_view vtag = vs.next(); vtag != "v") {
         reader.fail("expected leaf-value row " + std::to_string(r) +
-                        " (near '" + vtag + "')",
+                        " (near '" + std::string(vtag) + "')",
                     vline);
       }
       for (std::size_t j = 0; j < k; ++j) {
-        std::string tok;
-        if (!(vs >> tok)) {
+        const std::string_view tok = vs.next();
+        if (tok.empty()) {
           reader.fail("leaf-value row " + std::to_string(r) + " has fewer "
                           "than " + std::to_string(k) + " values",
                       vline);
@@ -244,6 +237,14 @@ ForestModel<T> read_model(std::istream& in) {
   return model;
 }
 
+}  // namespace
+
+template <typename T>
+ForestModel<T> read_model(std::istream& in) {
+  trees::LineReader reader(in);
+  return read_v2<T>(reader);
+}
+
 template <typename T>
 void save_model(const std::string& path, const ForestModel<T>& model) {
   if (const std::string err = model.validate(); !err.empty()) {
@@ -259,36 +260,46 @@ void save_model(const std::string& path, const ForestModel<T>& model) {
 
 template <typename T>
 ForestModel<T> load_model(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("model: cannot open '" + path + "'");
   return read_model<T>(in);
 }
 
+namespace {
+
+/// The version sniff and parse behind parse_any_model and load_any_model.
 template <typename T>
-ForestModel<T> load_any_model(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("model: cannot open '" + path + "'");
-  // Version sniff: first content line decides v1 (bare forest) vs v2.
-  // LineReader owns the "what counts as a content line" rule (comments,
-  // blanks, CRLF), so the sniffer can never disagree with the parsers.
-  std::string version;
-  {
-    trees::LineReader sniffer(in);
-    std::string line;
-    if (sniffer.try_next(line)) {
-      std::istringstream ls(line);
-      std::string tag;
-      ls >> tag >> version;
-    }
+ForestModel<T> read_any(trees::LineReader& reader) {
+  // The first content line's second token decides v1 (bare forest) vs v2;
+  // peek leaves that line for the parser, so numbering stays physical.
+  std::string_view version;
+  if (std::string_view line; reader.peek(line)) {
+    trees::Tokens tokens(line);
+    (void)tokens.next();
+    version = tokens.next();
   }
-  in.clear();
-  in.seekg(0);
-  if (version == "v2") return read_model<T>(in);
-  ForestModel<T> model = from_vote_forest(trees::read_forest<T>(in));
+  if (version == "v2") return read_v2<T>(reader);
+  ForestModel<T> model = from_vote_forest(trees::read_forest<T>(reader));
   if (const std::string err = model.validate(); !err.empty()) {
     throw std::runtime_error("model: invalid v1 forest: " + err);
   }
   return model;
+}
+
+}  // namespace
+
+template <typename T>
+ForestModel<T> parse_any_model(std::string_view text) {
+  trees::LineReader reader(text);
+  return read_any<T>(reader);
+}
+
+template <typename T>
+ForestModel<T> load_any_model(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("model: cannot open '" + path + "'");
+  trees::LineReader reader(in);
+  return read_any<T>(reader);
 }
 
 template void write_model<float>(std::ostream&, const ForestModel<float>&);
@@ -299,6 +310,8 @@ template void save_model<float>(const std::string&, const ForestModel<float>&);
 template void save_model<double>(const std::string&, const ForestModel<double>&);
 template ForestModel<float> load_model<float>(const std::string&);
 template ForestModel<double> load_model<double>(const std::string&);
+template ForestModel<float> parse_any_model<float>(std::string_view);
+template ForestModel<double> parse_any_model<double>(std::string_view);
 template ForestModel<float> load_any_model<float>(const std::string&);
 template ForestModel<double> load_any_model<double>(const std::string&);
 

@@ -23,6 +23,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "model/forest_model.hpp"
 
@@ -42,10 +43,15 @@ void save_model(const std::string& path, const ForestModel<T>& model);
 template <typename T>
 [[nodiscard]] ForestModel<T> load_model(const std::string& path);
 
-/// Version-sniffing loader: reads "forest v1 ..." files as majority-vote
-/// models and "forest v2 ..." containers natively.  This is what the CLI's
-/// predict/serve/inspect commands use, so both generations of artifacts
-/// flow through one code path.
+/// Version-sniffing parser: reads "forest v1 ..." text as a majority-vote
+/// model and "forest v2 ..." containers natively, deciding by the first
+/// content line's version token.
+template <typename T>
+[[nodiscard]] ForestModel<T> parse_any_model(std::string_view text);
+
+/// parse_any_model over a file, read once (so a pipe or FIFO works).  This
+/// is what the CLI's predict/serve/inspect commands use, so both
+/// generations of artifacts flow through one code path.
 template <typename T>
 [[nodiscard]] ForestModel<T> load_any_model(const std::string& path);
 
@@ -57,6 +63,8 @@ extern template void save_model<float>(const std::string&, const ForestModel<flo
 extern template void save_model<double>(const std::string&, const ForestModel<double>&);
 extern template ForestModel<float> load_model<float>(const std::string&);
 extern template ForestModel<double> load_model<double>(const std::string&);
+extern template ForestModel<float> parse_any_model<float>(std::string_view);
+extern template ForestModel<double> parse_any_model<double>(std::string_view);
 extern template ForestModel<float> load_any_model<float>(const std::string&);
 extern template ForestModel<double> load_any_model<double>(const std::string&);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <sstream>
@@ -15,66 +16,82 @@ namespace {
 template <typename T>
 using BitsOf = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
 
-/// The index-th whitespace-delimited token of `line` (empty when absent),
-/// so error messages can name the offending token instead of echoing the
-/// whole line.
-std::string token_at(const std::string& line, std::size_t index) {
-  std::istringstream ls(line);
-  std::string token;
-  for (std::size_t i = 0; ls >> token; ++i) {
-    if (i == index) return token;
-  }
-  return {};
-}
+/// The shortest node line, "n 0 0 0 0 0\n": bounds how many nodes the bytes
+/// left can still hold, so an untrusted node count reserves no more.
+constexpr std::size_t kMinNodeLineBytes = 12;
 
 }  // namespace
 
-std::string LineReader::next() {
-  std::string line;
+std::string_view LineReader::next() {
+  std::string_view line;
   if (!try_next(line)) {
     fail("unexpected end of input");
   }
   return line;
 }
 
-bool LineReader::try_next(std::string& line) {
-  while (std::getline(in_, line)) {
+bool LineReader::try_next(std::string_view& line) {
+  for (;;) {
+    std::size_t nl = rest_.find('\n');
+    while (nl == std::string_view::npos && in_ != nullptr) {
+      const std::size_t scanned = rest_.size();
+      refill();
+      nl = rest_.find('\n', scanned);
+    }
+    if (rest_.empty()) return false;
+    std::string_view l = rest_.substr(0, nl);
+    rest_.remove_prefix(nl == std::string_view::npos ? rest_.size() : nl + 1);
     ++line_no_;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (!l.empty() && l.back() == '\r') l.remove_suffix(1);
     std::size_t i = 0;
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    if (i < line.size() && line[i] != '#') return true;
+    while (i < l.size() && (l[i] == ' ' || l[i] == '\t')) ++i;
+    if (i < l.size() && l[i] != '#') {
+      line = l;
+      return true;
+    }
   }
-  return false;
 }
 
-void LineReader::fail(const std::string& what, const std::string& line) const {
+bool LineReader::peek(std::string_view& line) {
+  if (!try_next(line)) return false;
+  // try_next refills only before it cuts a line, so the line still starts
+  // inside the unread span it was cut from.
+  rest_ = {line.data(),
+           static_cast<std::size_t>(rest_.data() + rest_.size() - line.data())};
+  --line_no_;
+  return true;
+}
+
+void LineReader::refill() {
+  // 64 KiB stays below malloc's mmap threshold; a longer line grows it.
+  constexpr std::size_t kChunk = std::size_t{1} << 16;
+  const std::size_t carry = rest_.size();
+  if (carry > 0) std::memmove(buffer_.data(), rest_.data(), carry);
+  buffer_.resize(std::max(buffer_.size(), carry + kChunk));
+  in_->read(buffer_.data() + carry,
+            static_cast<std::streamsize>(buffer_.size() - carry));
+  const auto got = static_cast<std::size_t>(in_->gcount());
+  if (in_->bad()) fail("read error");
+  if (carry + got < buffer_.size()) in_ = nullptr;
+  rest_ = {buffer_.data(), carry + got};
+}
+
+std::size_t LineReader::bytes_left() const {
+  const std::streamsize unread = in_ ? in_->rdbuf()->in_avail() : 0;
+  return rest_.size() +
+         static_cast<std::size_t>(std::max<std::streamsize>(unread, 0));
+}
+
+void LineReader::fail(const std::string& what, std::string_view line) const {
   std::string msg = "serialize: line " + std::to_string(line_no_) + ": " + what;
   if (!line.empty()) {
     constexpr std::size_t kMaxContext = 60;
-    msg += ": \"" +
-           (line.size() > kMaxContext ? line.substr(0, kMaxContext) + "..."
-                                      : line) +
-           "\"";
+    msg += ": \"";
+    msg += line.substr(0, kMaxContext);
+    if (line.size() > kMaxContext) msg += "...";
+    msg += "\"";
   }
   throw std::runtime_error(msg);
-}
-
-template <typename T>
-T parse_hex_bits(const LineReader& reader, const std::string& token,
-                 const std::string& line, const std::string& what) {
-  std::uint64_t bits = 0;
-  std::istringstream hs(token);
-  char leftover = 0;
-  if (token.empty() || !(hs >> std::hex >> bits) || (hs >> leftover)) {
-    reader.fail("bad " + what + " (near '" + token + "')", line);
-  }
-  if constexpr (sizeof(T) == 4) {
-    if (bits > 0xFFFF'FFFFull) {
-      reader.fail(what + " '" + token + "' exceeds 32 bits", line);
-    }
-  }
-  return std::bit_cast<T>(static_cast<BitsOf<T>>(bits));
 }
 
 template <typename T>
@@ -112,90 +129,87 @@ void write_tree(std::ostream& out, const Tree<T>& tree) {
 
 template <typename T>
 Tree<T> read_tree(LineReader& reader) {
-  const std::string header_line = reader.next();
-  std::istringstream header(header_line);
-  std::string tag;
-  std::size_t feature_count = 0;
-  std::size_t n_nodes = 0;
-  if (!(header >> tag) || tag != "tree") {
+  const std::string_view header_line = reader.next();
+  Tokens header(header_line);
+  const std::string_view tag = header.next();
+  if (tag != "tree") {
     reader.fail("expected 'tree <features> <nodes>' header (near '" +
-                    token_at(header_line, 0) + "')",
+                    std::string(tag) + "')",
                 header_line);
   }
-  if (!(header >> feature_count >> n_nodes)) {
-    reader.fail("bad tree header counts (near '" +
-                    token_at(header_line, 1) + " " +
-                    token_at(header_line, 2) + "')",
+  const std::string_view features_token = header.next();
+  const std::string_view nodes_token = header.next();
+  std::size_t feature_count = 0;
+  std::size_t n_nodes = 0;
+  if (!parse_int(features_token, feature_count) ||
+      !parse_int(nodes_token, n_nodes)) {
+    reader.fail("bad tree header counts (near '" + std::string(features_token) +
+                    " " + std::string(nodes_token) + "')",
                 header_line);
   }
   Tree<T> tree(feature_count);
-  const auto parse_node_line = [&](const std::string& line, std::size_t i) {
-    std::istringstream ls(line);
-    std::string ntag, hex;
-    Node<T> node;
-    if (!(ls >> ntag) || ntag != "n") {
+  // The header count is untrusted: reserve no more nodes than the bytes
+  // left could hold.
+  tree.reserve(std::min(n_nodes, reader.bytes_left() / kMinNodeLineBytes));
+  const auto parse_node_line = [&](std::string_view line, std::size_t i) {
+    Tokens fields(line);
+    const std::string_view ntag = fields.next();
+    if (ntag != "n") {
       reader.fail("expected node " + std::to_string(i) + " (near '" +
-                      token_at(line, 0) + "')",
+                      std::string(ntag) + "')",
                   line);
     }
-    if (!(ls >> node.feature >> hex >> node.left >> node.right >>
-          node.prediction)) {
-      // Replay the typed field sequence (int, hex token, int, int, int) to
-      // name the first token that failed to parse.
-      std::istringstream probe(line);
-      std::string tok;
-      probe >> tok;  // "n"
-      std::size_t field = 1;
-      for (; field <= 5; ++field) {
-        bool ok;
-        if (field == 2) {
-          std::string h;
-          ok = static_cast<bool>(probe >> h);
-        } else {
-          std::int32_t v;
-          ok = static_cast<bool>(probe >> v);
-        }
-        if (!ok) break;
-      }
-      reader.fail("bad node line (near '" + token_at(line, field) + "')",
-                  line);
+    // Typed fields in order: int, hex token, int, int, int; the first one
+    // that does not parse is named.
+    const auto bad_field = [&](std::string_view token) {
+      reader.fail("bad node line (near '" + std::string(token) + "')", line);
+    };
+    Node<T> node;
+    std::string_view token = fields.next();
+    if (!parse_int(token, node.feature)) bad_field(token);
+    const std::string_view hex = fields.next();
+    if (hex.empty()) bad_field(hex);
+    for (std::int32_t* field : {&node.left, &node.right, &node.prediction}) {
+      token = fields.next();
+      if (!parse_int(token, *field)) bad_field(token);
     }
     // Optional extended fields (missing/categorical semantics): a trailing
     // `<flags> <cat_slot>` pair.  Legacy 5-field lines default to 0 / -1.
-    int flags = 0;
-    std::int32_t cat_slot = -1;
-    if (ls >> flags) {
-      if (!(ls >> cat_slot) || flags < 0 ||
+    if (const std::string_view flags_token = fields.next();
+        !flags_token.empty()) {
+      int flags = 0;
+      if (!parse_int(flags_token, flags) ||
+          !parse_int(fields.next(), node.cat_slot) || flags < 0 ||
           flags > (kNodeDefaultLeft | kNodeCategorical)) {
         reader.fail("bad node flags on node " + std::to_string(i), line);
       }
       node.flags = static_cast<std::uint8_t>(flags);
-      node.cat_slot = cat_slot;
     }
-    node.split = parse_hex_bits<T>(reader, hex, line,
-                                   "split bits on node " + std::to_string(i));
+    node.split = parse_hex_bits<T>(reader, hex, line, [i] {
+      return "split bits on node " + std::to_string(i);
+    });
     tree.add_node(node);
   };
   std::size_t first_node = 0;
   if (n_nodes > 0) {
     // The optional `cats` block sits between the tree header and node 0;
     // probe the first content line and fall through when it is node 0.
-    const std::string line = reader.next();
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "cats") {
+    const std::string_view line = reader.next();
+    Tokens cats(line);
+    if (cats.next() == "cats") {
+      const std::string_view slots_token = cats.next();
       std::size_t n_slots = 0;
-      if (!(ls >> n_slots) || n_slots == 0) {
-        reader.fail("bad cats header (near '" + token_at(line, 1) + "')",
+      if (!parse_int(slots_token, n_slots) || n_slots == 0) {
+        reader.fail("bad cats header (near '" + std::string(slots_token) + "')",
                     line);
       }
+      std::vector<std::uint32_t> words;
       for (std::size_t s = 0; s < n_slots; ++s) {
-        const std::string cline = reader.next();
-        std::istringstream cs(cline);
-        std::string ctag;
+        const std::string_view cline = reader.next();
+        Tokens cs(cline);
+        const std::string_view ctag = cs.next();
         std::size_t n_words = 0;
-        if (!(cs >> ctag >> n_words) || ctag != "c" || n_words == 0) {
+        if (!parse_int(cs.next(), n_words) || ctag != "c" || n_words == 0) {
           reader.fail("bad category-set line for slot " + std::to_string(s),
                       cline);
         }
@@ -208,18 +222,19 @@ Tree<T> read_tree(LineReader& reader) {
                           " exceeds line length",
                       cline);
         }
-        std::vector<std::uint32_t> words(n_words);
+        words.resize(n_words);
         for (std::size_t w = 0; w < n_words; ++w) {
-          std::string token;
-          if (!(cs >> token)) {
+          const std::string_view token = cs.next();
+          if (token.empty()) {
             reader.fail("category set slot " + std::to_string(s) + " has " +
                             std::to_string(w) + " words, expected " +
                             std::to_string(n_words),
                         cline);
           }
-          words[w] = std::bit_cast<std::uint32_t>(parse_hex_bits<float>(
-              reader, token, cline,
-              "category word on slot " + std::to_string(s)));
+          words[w] = std::bit_cast<std::uint32_t>(
+              parse_hex_bits<float>(reader, token, cline, [s] {
+                return "category word on slot " + std::to_string(s);
+              }));
         }
         tree.add_cat_set(words);
       }
@@ -252,16 +267,14 @@ void write_forest(std::ostream& out, const Forest<T>& forest) {
 }
 
 template <typename T>
-Forest<T> read_forest(std::istream& in) {
-  LineReader reader(in);
-  const std::string header_line = reader.next();
-  std::istringstream header(header_line);
-  std::string tag, version;
-  int num_classes = 0;
-  std::size_t n_trees = 0;
-  if (!(header >> tag >> version) || tag != "forest") {
+Forest<T> read_forest(LineReader& reader) {
+  const std::string_view header_line = reader.next();
+  Tokens header(header_line);
+  const std::string_view tag = header.next();
+  const std::string_view version = header.next();
+  if (tag != "forest" || version.empty()) {
     reader.fail("expected 'forest v1 <classes> <trees>' header (near '" +
-                    token_at(header_line, 0) + "')",
+                    std::string(tag) + "')",
                 header_line);
   }
   if (version == "v2") {
@@ -270,12 +283,18 @@ Forest<T> read_forest(std::istream& in) {
         "model::load_model / load_any_model, not trees::load_forest");
   }
   if (version != "v1") {
-    reader.fail("unsupported forest version '" + version + "'", header_line);
+    reader.fail("unsupported forest version '" + std::string(version) + "'",
+                header_line);
   }
-  if (!(header >> num_classes >> n_trees)) {
+  const std::string_view classes_token = header.next();
+  const std::string_view trees_token = header.next();
+  int num_classes = 0;
+  std::size_t n_trees = 0;
+  if (!parse_int(classes_token, num_classes) ||
+      !parse_int(trees_token, n_trees)) {
     reader.fail("bad forest header counts (near '" +
-                    token_at(header_line, 2) + " " +
-                    token_at(header_line, 3) + "')",
+                    std::string(classes_token) + " " +
+                    std::string(trees_token) + "')",
                 header_line);
   }
   std::vector<Tree<T>> trees;
@@ -302,6 +321,12 @@ Forest<T> read_forest(std::istream& in) {
 }
 
 template <typename T>
+Forest<T> read_forest(std::istream& in) {
+  LineReader reader(in);
+  return read_forest<T>(reader);
+}
+
+template <typename T>
 void save_forest(const std::string& path, const Forest<T>& forest) {
   std::ofstream out(path);
   if (!out) {
@@ -314,15 +339,11 @@ void save_forest(const std::string& path, const Forest<T>& forest) {
 
 template <typename T>
 Forest<T> load_forest(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("serialize: cannot open '" + path + "'");
   return read_forest<T>(in);
 }
 
-template float parse_hex_bits<float>(const LineReader&, const std::string&,
-                                     const std::string&, const std::string&);
-template double parse_hex_bits<double>(const LineReader&, const std::string&,
-                                       const std::string&, const std::string&);
 template void write_tree<float>(std::ostream&, const Tree<float>&);
 template void write_tree<double>(std::ostream&, const Tree<double>&);
 template Tree<float> read_tree<float>(std::istream&);
@@ -333,6 +354,8 @@ template void write_forest<float>(std::ostream&, const Forest<float>&);
 template void write_forest<double>(std::ostream&, const Forest<double>&);
 template Forest<float> read_forest<float>(std::istream&);
 template Forest<double> read_forest<double>(std::istream&);
+template Forest<float> read_forest<float>(LineReader&);
+template Forest<double> read_forest<double>(LineReader&);
 template void save_forest<float>(const std::string&, const Forest<float>&);
 template void save_forest<double>(const std::string&, const Forest<double>&);
 template Forest<float> load_forest<float>(const std::string&);

@@ -204,6 +204,25 @@ std::string Tree<T>::validate() const {
              " parents (expected 1)";
     }
   }
+  // One parent per node still admits a cycle cut off from the root.  Walk
+  // from the root, clearing each reached node's count: with one parent
+  // each, the walk meets no node twice, and a count left set was never
+  // reached.
+  std::vector<std::int32_t> stack{0};
+  while (!stack.empty()) {
+    const Node<T>& n = nodes_[static_cast<std::size_t>(stack.back())];
+    stack.pop_back();
+    if (n.is_leaf()) continue;
+    for (const std::int32_t child : {n.left, n.right}) {
+      parents[static_cast<std::size_t>(child)] = 0;
+      stack.push_back(child);
+    }
+  }
+  for (std::size_t i = 1; i < nodes_.size(); ++i) {
+    if (parents[i] != 0) {
+      return "node " + std::to_string(i) + " is not reachable from the root";
+    }
+  }
   return {};
 }
 

@@ -85,6 +85,8 @@ class Tree {
 
   /// Appends a node and returns its index.
   std::int32_t add_node(const Node<T>& node);
+  /// Sizes the node array for `n` add_node calls.
+  void reserve(std::size_t n) { nodes_.reserve(n); }
 
   /// Convenience builders used by the trainer and the tests.
   std::int32_t add_leaf(std::int32_t prediction);

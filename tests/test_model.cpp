@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -19,8 +20,11 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "data/synth.hpp"
 #include "model/forest_model.hpp"
@@ -258,6 +262,153 @@ TEST(ForestModel, LoadAnyModelBridgesV1) {
   EXPECT_EQ(m.num_classes(), forest.num_classes());
   for (std::size_t r = 0; r < 50; ++r) {
     EXPECT_EQ(m.forest.predict(dataset.row(r)), forest.predict(dataset.row(r)));
+  }
+}
+
+std::string model_text(const model::ForestModel<float>& m) {
+  std::ostringstream out;
+  model::write_model(out, m);
+  return out.str();
+}
+
+model::ForestModel<float> parse_model_text(const std::string& text) {
+  std::istringstream in(text);
+  return model::read_model<float>(in);
+}
+
+TEST(ModelIo, ScoreModelsRoundTripByteForByte) {
+  std::vector<model::ForestModel<float>> models;
+  for (const auto& [outputs, link] :
+       {std::pair{1, model::Link::None}, std::pair{1, model::Link::Sigmoid},
+        std::pair{3, model::Link::Softmax}}) {
+    auto m = make_score_model(outputs, link);
+    models.push_back(m);
+    m.handles_missing = true;  // adds the `missing` line
+    models.push_back(m);
+    m.zero_as_missing = true;
+    models.push_back(m);
+  }
+  auto no_base = make_score_model(2, model::Link::None);
+  no_base.aggregation.base_score.clear();  // omits the `base` line
+  models.push_back(no_base);
+  for (const auto& m : models) {
+    const std::string once = model_text(m);
+    SCOPED_TRACE(once.substr(0, once.find("leaf_values")));
+    EXPECT_EQ(model_text(parse_model_text(once)), once);
+  }
+}
+
+TEST(ModelIo, ExternalFixturesRoundTripByteForByte) {
+  for (const char* file : {"xgb_binary.json", "xgb_missing.json",
+                           "lgbm_regression.txt", "lgbm_categorical.txt",
+                           "sklearn_multiclass.json"}) {
+    SCOPED_TRACE(file);
+    const std::string once =
+        model_text(model::load_external_model<float>(kFixtureDir + file));
+    EXPECT_EQ(model_text(parse_model_text(once)), once);
+    EXPECT_EQ(model_text(model::parse_any_model<float>(once)), once);
+  }
+}
+
+/// The loader's what() for a file, or "" when it loads.
+std::string load_error(const std::string& path) {
+  try {
+    (void)model::load_any_model<float>(path);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ModelIo, CorruptFixturesKeepTheirErrorTexts) {
+  const std::string dir = std::string(FLINT_SOURCE_DIR) + "/tests/fixtures/corrupt/";
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"v1_child_out_of_range.forest",
+       "serialize: line 7: invalid tree: node 0 child index out of range"},
+      {"v1_cycle.forest", "serialize: line 7: invalid tree: root node has a parent"},
+      {"v1_feature_out_of_range.forest",
+       "serialize: line 7: invalid tree: node 0 feature index out of range"},
+      {"v1_huge_tree_count.forest", "serialize: line 9: unexpected end of input"},
+      {"v1_leaf_class_out_of_range.forest",
+       "serialize: line 7: tree 0: leaf class 7 out of range for 2 classes"},
+      {"v1_leaf_with_flags.forest",
+       "serialize: line 7: invalid tree: leaf node 2 carries split flags"},
+      {"v1_nan_split.forest",
+       "serialize: line 7: invalid tree: numeric node 0 has a NaN split"},
+      {"v1_orphan_node.forest",
+       "serialize: line 8: invalid tree: node 3 has 0 parents (expected 1)"},
+      {"v1_truncated.forest", "serialize: line 8: unexpected end of input"},
+      {"v1_zero_feature_count.forest",
+       "model: invalid v1 forest: tree 0: feature 0 outside [0, 0)"},
+      {"v2_bad_missing_line.v2",
+       "serialize: line 8: bad missing line (expected 'missing 0|1 0|1'): "
+       "\"missing 0 1\""},
+      {"v2_base_score_arity.v2",
+       "serialize: line 9: base line has 2 values, expected 1: \"base 0 0\""},
+      {"v2_class_count_mismatch.v2",
+       "model: v2 header declares 5 classes but the aggregation derives 0"},
+      {"v2_huge_category_words.v2",
+       "serialize: line 16: category-set word count 99999999999 exceeds line "
+       "length: \"c 99999999999 1\""},
+      {"v2_huge_feature_count.v2",
+       "model: invalid v2 container: feature count 999999999 exceeds the "
+       "engine limit of 32767"},
+      {"v2_leaf_row_out_of_range.v2",
+       "model: invalid v2 container: tree 1: leaf row 9 out of range for 3 "
+       "leaf-value rows"},
+      {"v2_leaf_with_cat_slot.v2",
+       "serialize: line 19: invalid tree: leaf node 1 carries a cat_slot"},
+      {"v2_nonfinite_leaf_value.v2",
+       "model: invalid v2 container: non-finite leaf value at row 0 output 0"},
+      {"v2_scalar_outputs_mismatch.v2",
+       "serialize: line 9: base line has 1 values, expected 3: \"base 0\""},
+      {"v2_truncated.v2", "serialize: line 11: unexpected end of input"},
+  };
+  std::size_t n_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    n_files += entry.is_regular_file() ? 1 : 0;
+  }
+  EXPECT_EQ(n_files, expected.size()) << "a corrupt fixture has no pinned text";
+  for (const auto& [file, error] : expected) {
+    EXPECT_EQ(load_error(dir + file), error) << file;
+  }
+}
+
+TEST(ModelIo, EmptyFileFailsBeforeAnyLine) {
+  const std::string path = ::testing::TempDir() + "/flint_empty.model";
+  std::ofstream(path).flush();
+  EXPECT_EQ(load_error(path), "serialize: line 0: unexpected end of input");
+}
+
+TEST(ModelIo, LoadsThroughAFifo) {
+  // A FIFO has no size and cannot seek, so the loader must read it once.
+  // 20k comment lines push the text past the first read chunk.
+  const auto m = make_score_model(3, model::Link::Softmax, 3, 5);
+  std::string padded_text;
+  for (std::size_t i = 0; i < 20000; ++i) padded_text += "# pad \n";
+  padded_text += model_text(m);
+  const std::string& padded = padded_text;
+  const std::string v1_text = [] {
+    const auto spec = flint::data::spec_by_name("eye");
+    trees::ForestOptions options;
+    options.n_trees = 3;
+    options.tree.max_depth = 5;
+    std::ostringstream out;
+    trees::write_forest(out, trees::train_forest(
+                                 flint::data::generate<float>(spec, 3, 200),
+                                 options));
+    return out.str();
+  }();
+  for (const std::string* payload : {&padded, &v1_text}) {
+    const std::string fifo = ::testing::TempDir() + "/flint_model.fifo";
+    std::filesystem::remove(fifo);
+    ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+    std::jthread writer([&] { std::ofstream(fifo, std::ios::binary) << *payload; });
+    const auto loaded = model::load_any_model<float>(fifo);
+    writer.join();
+    std::filesystem::remove(fifo);
+    EXPECT_EQ(model_text(loaded),
+              model_text(model::parse_any_model<float>(*payload)));
   }
 }
 

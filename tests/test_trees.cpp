@@ -2,7 +2,12 @@
 // serialization and branch statistics.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/flint.hpp"
 #include "data/synth.hpp"
@@ -88,6 +93,22 @@ TEST(Tree, ValidateCatchesBrokenStructure) {
     const auto b = t.add_leaf(1);
     t.link(root, a, b);
     EXPECT_NE(t.validate().find("feature"), std::string::npos);
+  }
+  {
+    // Nodes 3 and 4 are each other's child: one parent apiece, but cut off
+    // from the root.
+    Tree<float> t(1);
+    const auto root = t.add_split(0, 1.0f);
+    const auto a = t.add_leaf(0);
+    const auto b = t.add_leaf(1);
+    const auto c = t.add_split(0, 2.0f);
+    const auto d = t.add_split(0, 3.0f);
+    const auto e = t.add_leaf(0);
+    const auto f = t.add_leaf(1);
+    t.link(root, a, b);
+    t.link(c, d, e);
+    t.link(d, c, f);
+    EXPECT_EQ(t.validate(), "node 3 is not reachable from the root");
   }
 }
 
@@ -358,6 +379,196 @@ TEST(Serialize, ErrorsCarryLineNumbersAndTokens) {
   const std::string header_err = forest_parse_error(bad_header);
   EXPECT_NE(header_err.find("line 1"), std::string::npos) << header_err;
   EXPECT_NE(header_err.find("woods"), std::string::npos) << header_err;
+}
+
+std::string forest_text(const Forest<float>& forest) {
+  std::ostringstream out;
+  flint::trees::write_forest(out, forest);
+  return out.str();
+}
+
+Forest<float> parse_forest_text(const std::string& text) {
+  std::istringstream in(text);
+  return flint::trees::read_forest<float>(in);
+}
+
+/// A tree with both special split kinds: a categorical root over two
+/// category sets and a numeric child that sends NaN left.
+Tree<float> categorical_tree(std::size_t features) {
+  Tree<float> t(features);
+  const std::vector<std::uint32_t> wide_set = {0x5u, 0xF0000001u};
+  const std::vector<std::uint32_t> one_word = {0x1u};
+  const auto slot = t.add_cat_set(wide_set);
+  (void)t.add_cat_set(one_word);
+  const auto root = t.add_cat_split(2, slot, true);
+  const auto inner = t.add_split(0, 0.25f, true);
+  const auto l0 = t.add_leaf(0);
+  const auto l1 = t.add_leaf(1);
+  const auto l2 = t.add_leaf(1);
+  t.link(root, inner, l2);
+  t.link(inner, l0, l1);
+  return t;
+}
+
+TEST(Serialize, TrainedForestsRoundTripByteForByte) {
+  const auto ds = flint::data::generate<float>(flint::data::wine_spec(), 11, 400);
+  flint::trees::ForestOptions opt;
+  opt.n_trees = 4;
+  opt.tree.max_depth = 6;
+  const auto plain = flint::trees::train_forest(ds, opt);
+
+  // Default-left flags on every other inner node: the 7-field node form.
+  std::vector<Tree<float>> flagged_trees(plain.trees().begin(),
+                                         plain.trees().end());
+  for (auto& tree : flagged_trees) {
+    for (std::size_t i = 0; i < tree.size(); i += 2) {
+      auto& node = tree.node(static_cast<std::int32_t>(i));
+      if (!node.is_leaf()) node.flags |= flint::trees::kNodeDefaultLeft;
+    }
+  }
+  const Forest<float> flagged(flagged_trees, plain.num_classes());
+
+  // A categorical tree adds a `cats` block.
+  std::vector<Tree<float>> cat_trees = {plain.tree(0),
+                                        categorical_tree(plain.feature_count())};
+  const Forest<float> with_cats(cat_trees, plain.num_classes());
+
+  for (const Forest<float>* forest : {&plain, &flagged, &with_cats}) {
+    const std::string once = forest_text(*forest);
+    EXPECT_EQ(forest_text(parse_forest_text(once)), once);
+  }
+  EXPECT_NE(forest_text(flagged).find(" 1 -1\n"), std::string::npos);
+  EXPECT_NE(forest_text(with_cats).find("cats 2\nc 2 5 f0000001\nc 1 1\n"),
+            std::string::npos);
+}
+
+// The parser's token contract (docs/MODEL_FORMATS.md, "Token grammar"):
+// every case below is an explicit accept or reject.
+const std::string kCanonical =
+    "forest v1 2 1\n"
+    "tree 1 3\n"
+    "n 0 3f800000 1 2 -1\n"
+    "n -1 0 -1 -1 0\n"
+    "n -1 0 -1 -1 1\n";
+
+/// The canonical forest with its root node line replaced.
+std::string with_root(const std::string& root_line) {
+  return "forest v1 2 1\ntree 1 3\n" + root_line +
+         "\nn -1 0 -1 -1 0\nn -1 0 -1 -1 1\n";
+}
+
+/// `n` lines of "# pad" (6 bytes each), enough to span read chunks.
+std::string comment_lines(std::size_t n) {
+  std::string text;
+  for (std::size_t i = 0; i < n; ++i) text += "# pad\n";
+  return text;
+}
+
+std::string replace_all(std::string s, const std::string& from,
+                        const std::string& to) {
+  for (std::size_t at = s.find(from); at != std::string::npos;
+       at = s.find(from, at + to.size())) {
+    s.replace(at, from.size(), to);
+  }
+  return s;
+}
+
+TEST(SerializeTokens, AcceptedSpellingsParseToTheCanonicalForest) {
+  const std::vector<std::pair<std::string, std::string>> accepted = {
+      {"CRLF line endings", replace_all(kCanonical, "\n", "\r\n")},
+      {"tab separators", replace_all(kCanonical, " ", "\t")},
+      {"vertical tab, form feed and runs of blanks",
+       replace_all(kCanonical, " ", " \v\f  ")},
+      {"leading blanks", replace_all(kCanonical, "\n", "\n \t")},
+      {"no final newline", kCanonical.substr(0, kCanonical.size() - 1)},
+      {"comment and blank lines between nodes",
+       replace_all(kCanonical, "\nn ", "\n# note\n\n \t\n  # x\nn ")},
+      {"uppercase hex", replace_all(kCanonical, "3f800000", "3F800000")},
+      {"tokens after the 7th node field",
+       with_root("n 0 3f800000 1 2 -1 0 -1 extra # note")},
+      {"tokens after a header's last field",
+       replace_all(kCanonical, "tree 1 3", "tree 1 3 extra")},
+      {"a comment line longer than a read chunk",
+       "# " + std::string(100000, 'x') + "\n" + kCanonical},
+  };
+  for (const auto& [name, text] : accepted) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(forest_parse_error(text), "");
+    EXPECT_EQ(forest_text(parse_forest_text(text)), kCanonical);
+  }
+}
+
+TEST(SerializeTokens, RejectedSpellingsNameTheLineAndToken) {
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"", "serialize: line 0: unexpected end of input"},
+      {"# only a comment\n\n", "serialize: line 2: unexpected end of input"},
+      {with_root("n 0 0x3f800000 1 2 -1"),
+       "serialize: line 3: bad split bits on node 0 (near '0x3f800000'): "
+       "\"n 0 0x3f800000 1 2 -1\""},
+      {with_root("n 0 +3f800000 1 2 -1"),
+       "serialize: line 3: bad split bits on node 0 (near '+3f800000'): "
+       "\"n 0 +3f800000 1 2 -1\""},
+      {with_root("n 0 -1 1 2 -1"),
+       "serialize: line 3: bad split bits on node 0 (near '-1'): "
+       "\"n 0 -1 1 2 -1\""},
+      {with_root("n 0 13f800000 1 2 -1"),
+       "serialize: line 3: split bits on node 0 '13f800000' exceeds 32 bits: "
+       "\"n 0 13f800000 1 2 -1\""},
+      {with_root("n 0 03f800000 1 2 -1"),
+       "serialize: line 3: split bits on node 0 '03f800000' exceeds 32 bits: "
+       "\"n 0 03f800000 1 2 -1\""},
+      {with_root("n 0 3f800000 1 2 -1 x"),
+       "serialize: line 3: bad node flags on node 0: "
+       "\"n 0 3f800000 1 2 -1 x\""},
+      {with_root("n 0 3f800000 1 2 -1 1"),
+       "serialize: line 3: bad node flags on node 0: "
+       "\"n 0 3f800000 1 2 -1 1\""},
+      {with_root("n +0 3f800000 1 2 -1"),
+       "serialize: line 3: bad node line (near '+0'): "
+       "\"n +0 3f800000 1 2 -1\""},
+      {with_root("n 0 3f800000 1x 2 -1"),
+       "serialize: line 3: bad node line (near '1x'): "
+       "\"n 0 3f800000 1x 2 -1\""},
+      {replace_all(kCanonical, "tree 1 3", "tree -1 3"),
+       "serialize: line 2: bad tree header counts (near '-1 3'): "
+       "\"tree -1 3\""},
+      {replace_all(kCanonical, "forest v1 2 1", "forest v1 2 +1"),
+       "serialize: line 1: bad forest header counts (near '2 +1'): "
+       "\"forest v1 2 +1\""},
+      // Line numbers stay physical across comment and blank lines.
+      {replace_all(kCanonical, "n 0 3f800000", "# a\n\n\t\nn 0 zzzz"),
+       "serialize: line 6: bad split bits on node 0 (near 'zzzz'): "
+       "\"n 0 zzzz 1 2 -1\""},
+      {"forest v1 2 1\r\ntree 1 3\r\nn 0 3f800000 1 2 -1\r\nn -1 0 -1 -1 0\r\n",
+       "serialize: line 4: unexpected end of input"},
+      // Counting continues across the reader's 64 KiB chunks.
+      {comment_lines(20000) + with_root("n 0 3f800000 1 2 -1 9 -1"),
+       "serialize: line 20003: bad node flags on node 0: "
+       "\"n 0 3f800000 1 2 -1 9 -1\""},
+  };
+  for (const auto& [text, error] : rejected) {
+    SCOPED_TRACE(text);
+    EXPECT_EQ(forest_parse_error(text), error);
+  }
+}
+
+TEST(SerializeTokens, HexWidthFollowsTheScalarType) {
+  // A double payload takes up to 16 digits; a 17th is rejected even as a
+  // leading zero.
+  const std::string root = "n 0 3ff0000000000001 1 2 -1";
+  std::istringstream in(with_root(root));
+  const auto forest = flint::trees::read_forest<double>(in);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(forest.tree(0).node(0).split),
+            0x3ff0000000000001ull);
+  std::istringstream wide(with_root("n 0 03ff0000000000001 1 2 -1"));
+  try {
+    (void)flint::trees::read_forest<double>(wide);
+    FAIL() << "expected a 17-digit rejection";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "serialize: line 3: bad split bits on node 0 (near "
+              "'03ff0000000000001'): \"n 0 03ff0000000000001 1 2 -1\"");
+  }
 }
 
 TEST(TreeStats, BranchProbabilitiesSumCorrectly) {

@@ -8,7 +8,10 @@
 #   4. score predictions must match the committed expectations within the
 #      documented tolerance (|diff| <= 1e-6 absolute — the expectations
 #      are float32 round-trip prints, so this is ~2 ULP at these scales;
-#      see docs/MODEL_FORMATS.md "Numerical contract").
+#      see docs/MODEL_FORMATS.md "Numerical contract");
+#   5. converting the v2 output again with --format native must reproduce
+#      it byte for byte, so any read/print asymmetry in the native parser
+#      fails here.
 #
 # Usage: tools/check_convert_roundtrip.sh <flint-forest-binary> [source-root]
 set -eu
@@ -43,6 +46,12 @@ for model in xgb_binary.json xgb_missing.json lgbm_regression.txt \
     stem=${model%%.*}
     echo "== $model"
     "$bin" convert --in "$fixtures/$model" --out "$work/$stem.v2"
+    "$bin" convert --in "$work/$stem.v2" --out "$work/$stem.native.v2" \
+        --format native > /dev/null
+    if ! cmp "$work/$stem.v2" "$work/$stem.native.v2"; then
+        echo "FAIL: $model native-to-native convert is not byte-identical" >&2
+        status=1
+    fi
 
     # Static verification: both the source fixture and the converted
     # artifact must pass every invariant check (docs/VERIFICATION.md).
