@@ -5,19 +5,20 @@
 // (Theorem 1 vs Theorem 2 vs the offline-encoded Theorem 2 vs radix keys)
 // from the if-else compilation strategy benchmarked in Figures 3/4.
 //
-// All engines run behind the predict::Predictor batch API (blocked
-// execution), so the ablation also exercises the production inference path.
+// The engines are driven directly (they are not predict::make_predictor
+// backends): every column runs the same per-sample traversal over the same
+// packed node array, so only the comparison operator differs.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "data/split.hpp"
 #include "data/synth.hpp"
+#include "exec/interpreter.hpp"
 #include "harness/bench_json.hpp"
 #include "harness/machine_info.hpp"
 #include "harness/stats.hpp"
 #include "harness/timer.hpp"
-#include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 
 int main() {
@@ -39,52 +40,42 @@ int main() {
       fopt.tree.max_features = flint::trees::TrainOptions::kSqrtFeatures;
       const auto forest = flint::trees::train_forest(split.train, fopt);
 
-      const auto float_predictor =
-          flint::predict::make_predictor(forest, "float");
+      const flint::exec::FloatForestEngine<float> float_engine(forest);
       std::vector<std::int32_t> reference(split.test.rows());
-      float_predictor->predict_batch(split.test, reference);
+      float_engine.predict_batch(split.test, reference);
 
       std::vector<std::int32_t> out(split.test.rows());
-      auto time_predictor = [&](const flint::predict::Predictor<float>& p) {
-        // Validate once outside the timer (shape + NaN gate); the measured
-        // ns/sample is then formulation cost, not the boundary scan.  The
-        // prevalidated raw-pointer path assumes the dataset stride equals
-        // the model width; fall back to the checked overload otherwise.
-        p.predict_batch(split.test, out);
-        const bool exact_width = split.test.cols() == p.feature_count();
+      auto time_engine = [&](const auto& engine) {
         const auto t = flint::harness::measure(
-            [&] {
-              if (exact_width) {
-                p.predict_batch_prevalidated(split.test.values().data(),
-                                             split.test.rows(), out.data());
-              } else {
-                p.predict_batch(split.test, out);
-              }
-            },
-            0.02, 3);
+            [&] { engine.predict_batch(split.test, out); }, 0.02, 3);
         return t.seconds_per_iteration /
                static_cast<double>(split.test.rows()) * 1e9;
       };
 
-      const double t_float = time_predictor(*float_predictor);
+      const double t_float = time_engine(float_engine);
       std::printf("%-12s %-6d %-10.1f", name, depth, t_float);
       json.add_row({{"dataset", flint::harness::BenchValue::of(name)},
                     {"depth", flint::harness::BenchValue::of(depth)},
                     {"backend", flint::harness::BenchValue::of("float")},
                     {"ns_per_sample",
                      flint::harness::BenchValue::of(t_float)}});
-      for (const char* backend : {"encoded", "theorem1", "theorem2", "radix"}) {
-        const auto predictor = flint::predict::make_predictor(forest, backend);
+      for (const auto variant :
+           {flint::exec::FlintVariant::Encoded,
+            flint::exec::FlintVariant::Theorem1,
+            flint::exec::FlintVariant::Theorem2,
+            flint::exec::FlintVariant::RadixKey}) {
+        const flint::exec::FlintForestEngine<float> engine(forest, variant);
+        const char* backend = flint::exec::to_string(variant);
         // Equivalence guard: ablation numbers are only meaningful if the
         // engines agree everywhere.
-        predictor->predict_batch(split.test, out);
+        engine.predict_batch(split.test, out);
         for (std::size_t r = 0; r < split.test.rows(); ++r) {
           if (out[r] != reference[r]) {
             std::fprintf(stderr, "prediction mismatch: %s\n", backend);
             return 1;
           }
         }
-        const double t = time_predictor(*predictor);
+        const double t = time_engine(engine);
         std::printf(" %-10s", (std::to_string(t / t_float).substr(0, 4) + "x").c_str());
         json.add_row({{"dataset", flint::harness::BenchValue::of(name)},
                       {"depth", flint::harness::BenchValue::of(depth)},

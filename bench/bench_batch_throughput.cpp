@@ -6,7 +6,8 @@
 // trees), it measures the blocked interpreter backends feeding many samples
 // per call, and how that scales when a ParallelPredictor spreads the batch
 // over a jthread worker pool.  Every configuration is verified bit-identical
-// to the float reference before it is timed.
+// to the `reference` backend (per-sample Forest::predict) before it is
+// timed.
 //
 // FLINT_BENCH_FULL=1 enlarges the dataset and the sweep.
 #include <chrono>
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   json.set("batch_rows", batch.rows());
 
   std::vector<std::int32_t> reference(batch.rows());
-  flint::predict::make_predictor(forest, "float")
+  flint::predict::make_predictor(forest, "reference")
       ->predict_batch(batch, reference);
   std::vector<std::int32_t> out(batch.rows());
   auto verify = [&](const flint::predict::Predictor<float>& p) {
@@ -128,9 +129,7 @@ int main(int argc, char** argv) {
   std::printf("\n--- backend sweep (block=256, 1 thread) ---\n");
   std::printf("%-12s %-14s\n", "backend", "samples/sec");
   for (const char* backend :
-       {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "simd:flint", "simd:float", "layout:auto", "layout:c16",
-        "layout:c8", "jit:layout"}) {
+       {"reference", "encoded", "layout:auto", "layout:c16", "jit:layout"}) {
     flint::predict::PredictorOptions opt;
     opt.block_size = 256;
     std::unique_ptr<flint::predict::Predictor<float>> p;
@@ -139,8 +138,6 @@ int main(int argc, char** argv) {
     try {
       p = flint::predict::make_predictor(forest, backend, opt);
     } catch (const std::exception& e) {
-      // Pinned layout:c8 refuses models whose per-feature distinct
-      // thresholds overflow int16 ranks (e.g. the FULL-size forest);
       // jit:layout can miss a C toolchain.
       std::printf("%-12s skipped (%s)\n", backend, e.what());
       continue;

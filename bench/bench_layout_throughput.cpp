@@ -2,11 +2,10 @@
 // exec/layout compact node formats (ISSUE 3).
 //
 // Trains a deep synthetic forest whose packed node image exceeds L2 — the
-// regime where the PR 2 simd:* gains flatten because node fetches, not
-// compares, dominate — and measures samples/sec for the wide interpreter,
-// the SoA lane kernels and the layout:* compact backends at the same
-// thread count.  Acceptance: layout:auto >= 1.3x the best of
-// {encoded, simd:flint} on the deep model.
+// regime where node fetches, not compares, dominate — and measures
+// samples/sec for the wide encoded interpreter and the layout:* compact
+// backends at the same thread count.  Acceptance: layout:auto >= 1.3x
+// encoded on the deep model.
 //
 // Every configuration is verified bit-identical to per-sample
 // Forest::predict before it is timed; any divergence exits non-zero (CI
@@ -55,8 +54,8 @@ int main(int argc, char** argv) {
     std::printf(
         "bench_layout_throughput: deep-forest (memory-bound) inference\n"
         "throughput of the layout:* compact-node backends vs the encoded\n"
-        "interpreter and simd:flint.  Verifies bit-identity to\n"
-        "Forest::predict first; divergence exits non-zero.  Writes\n"
+        "interpreter.  Verifies bit-identity to Forest::predict first;\n"
+        "divergence exits non-zero.  Writes\n"
         "BENCH_layout_throughput.json.  FLINT_BENCH_SMOKE=1 shrinks to a\n"
         "CI correctness gate; FLINT_BENCH_FULL=1 enlarges the model.\n");
     return 0;
@@ -88,11 +87,11 @@ int main(int argc, char** argv) {
   const std::size_t wide_bytes = stats.total_nodes * 16;  // PackedNode<float>
   std::printf(
       "model: %d trees, depth<=%d (max %zu), %zu nodes\n"
-      "packed: wide %.1f KiB | c16 %.1f KiB | c8 %.1f KiB  (L2 %zu KiB, "
+      "packed: wide %.1f KiB | c16 %.1f KiB | q4 %.1f KiB  (L2 %zu KiB, "
       "LLC %zu KiB)\npool: %zu samples\n\n",
       n_trees, depth, stats.max_depth, stats.total_nodes,
       wide_bytes / 1024.0, stats.total_nodes * 16 / 1024.0,
-      stats.total_nodes * 8 / 1024.0, cache.l2_bytes / 1024,
+      stats.total_nodes * 4 / 1024.0, cache.l2_bytes / 1024,
       cache.llc_bytes / 1024, data.rows());
 
   flint::harness::BenchJson json("layout_throughput");
@@ -124,10 +123,8 @@ int main(int argc, char** argv) {
     }
   };
 
-  std::vector<std::string> backends = {"encoded",    "simd:flint",
-                                       "layout:c16", "layout:c8",
-                                       "layout:q4",  "layout:auto",
-                                       "jit:layout"};
+  std::vector<std::string> backends = {"encoded", "layout:c16", "layout:q4",
+                                       "layout:auto", "jit:layout"};
   // Quantization contract report for the 4-byte image: packed once here so
   // the JSON artifact carries the per-model fitness/mismatch facts the
   // acceptance criteria ask for.  layout:q4 only joins the bit-identity
@@ -174,8 +171,7 @@ int main(int argc, char** argv) {
       predictors.push_back(
           flint::predict::make_predictor(forest, backends[i], opt));
     } catch (const std::exception& e) {
-      // A pinned width can be unpackable (e.g. layout:c8 on a model with
-      // > 32767 distinct thresholds per feature); jit:layout can miss a C
+      // A pinned width can be unpackable; jit:layout can miss a C
       // toolchain.  layout:auto still serves.
       std::printf("  %-12s skipped (%s)\n", backends[i].c_str(), e.what());
       backends.erase(backends.begin() + static_cast<std::ptrdiff_t>(i));
@@ -203,7 +199,7 @@ int main(int argc, char** argv) {
   std::printf("%-8s", "batch");
   for (const auto& b : backends) std::printf(" %-13s", b.c_str());
   std::printf("\n");
-  double best_baseline = 0.0;  // encoded / simd:flint at the largest batch
+  double encoded_rate = 0.0;  // the baseline, at the largest batch
   double layout_auto_rate = 0.0;
   double jit_layout_rate = 0.0;
   double layout_q4_rate = 0.0;
@@ -216,9 +212,7 @@ int main(int argc, char** argv) {
       std::printf(" %-13.0f", rate);
       json.add_rate(backends[i], batch, 1, rate);
       if (batch == data.rows()) {
-        if (backends[i] == "encoded" || backends[i] == "simd:flint") {
-          best_baseline = std::max(best_baseline, rate);
-        }
+        if (backends[i] == "encoded") encoded_rate = rate;
         if (backends[i] == "layout:auto") layout_auto_rate = rate;
         if (backends[i] == "jit:layout") jit_layout_rate = rate;
         if (backends[i] == "layout:q4") layout_q4_rate = rate;
@@ -227,23 +221,19 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- Sweep 2: threads x {best baseline, layout:auto}. --------------------
+  // --- Sweep 2: threads x layout:auto. -------------------------------------
   std::printf("\n--- thread sweep (batch=%zu, samples/sec) ---\n",
               data.rows());
-  std::printf("%-8s %-14s %-14s\n", "threads", "simd:flint", "layout:auto");
+  std::printf("%-8s %-14s\n", "threads", "layout:auto");
   for (const unsigned threads : {1u, 2u, 4u}) {
-    double rates[2] = {0, 0};
-    const char* pair[2] = {"simd:flint", "layout:auto"};
-    for (int i = 0; i < 2; ++i) {
-      flint::predict::PredictorOptions opt;
-      opt.block_size = 256;
-      opt.threads = threads;
-      const auto p = flint::predict::make_predictor(forest, pair[i], opt);
-      verify(*p);
-      rates[i] = samples_per_sec(*p, features, data.rows(), out);
-      json.add_rate(pair[i], data.rows(), threads, rates[i]);
-    }
-    std::printf("%-8u %-14.0f %-14.0f\n", threads, rates[0], rates[1]);
+    flint::predict::PredictorOptions opt;
+    opt.block_size = 256;
+    opt.threads = threads;
+    const auto p = flint::predict::make_predictor(forest, "layout:auto", opt);
+    verify(*p);
+    const double rate = samples_per_sec(*p, features, data.rows(), out);
+    json.add_rate("layout:auto", data.rows(), threads, rate);
+    std::printf("%-8u %-14.0f\n", threads, rate);
   }
 
   // --- Sweep 3: single-sample latency (interleaved lockstep path). ---------
@@ -299,11 +289,11 @@ int main(int argc, char** argv) {
   }
 
   const double speedup =
-      best_baseline > 0 ? layout_auto_rate / best_baseline : 0.0;
-  json.set("layout_auto_vs_best_baseline", speedup);
+      encoded_rate > 0 ? layout_auto_rate / encoded_rate : 0.0;
+  json.set("layout_auto_vs_encoded", speedup);
   std::printf(
-      "\n(acceptance: layout:auto >= 1.3x best of {encoded, simd:flint} on "
-      "the deep model -- %.2fx, %s%s)\n",
+      "\n(acceptance: layout:auto >= 1.3x encoded on the deep model -- "
+      "%.2fx, %s%s)\n",
       speedup, speedup >= 1.3 ? "MET" : "NOT MET on this host",
       smoke ? "; smoke model is cache-resident, timing not meaningful" : "");
   if (jit_layout_rate > 0 && layout_auto_rate > 0) {
@@ -358,22 +348,13 @@ int main(int argc, char** argv) {
                                                    : "NOT MET on this host");
   }
   if (layout_q4_rate > 0) {
-    // ISSUE 10 gate: the 4-byte quantized image must beat what the auto
-    // tuner would pick WITHOUT the q4 rung (auto itself now selects q4 on
-    // this model, so the honest baseline is auto re-planned with
-    // fit.allow_q4 = false — which resolves to one of the pinned widths
-    // already constructed above).  Paired rounds + median ratio for the
-    // same drift-cancelling reasons as the jit gate.
-    flint::exec::layout::NarrowFit fit;
-    fit.ranks_fit_int16 = tables.fits_int16();
-    fit.feature_count = forest.feature_count();
-    fit.num_classes = forest.num_classes();
-    fit.allow_q4 = false;
-    const auto noq4_plan = flint::exec::layout::auto_plan(stats, fit, 256,
-                                                          cache);
-    const char* baseline_backend =
-        noq4_plan.width == flint::exec::layout::NodeWidth::C8 ? "layout:c8"
-                                                              : "layout:c16";
+    // Quantized-layout gate: the 4-byte image must beat what the auto tuner
+    // would pick WITHOUT the q4 rung (auto itself now selects q4 on this
+    // model, so the honest baseline is auto re-planned with
+    // fit.allow_q4 = false — which resolves to c16, the only other compact
+    // width, already constructed above).  Paired rounds + median ratio for
+    // the same drift-cancelling reasons as the jit gate.
+    const char* baseline_backend = "layout:c16";
     const flint::predict::Predictor<float>* q4_p = nullptr;
     const flint::predict::Predictor<float>* base_p = nullptr;
     for (std::size_t i = 0; i < backends.size(); ++i) {

@@ -355,9 +355,7 @@ int main(int argc, char** argv) {
     std::printf("%-12s %-12s %-12s %-10s %-12s %-10s %-12s\n", "backend",
                 "offered", "achieved", "p50_us", "cpu_us/req", "p99_us",
                 "mean_batch");
-    const std::vector<std::string> backends =
-        full ? std::vector<std::string>{"encoded", "simd:flint", "layout:auto"}
-             : std::vector<std::string>{"encoded", "layout:auto"};
+    const std::vector<std::string> backends = {"encoded", "layout:auto"};
     const std::vector<double> loads =
         full ? std::vector<double>{2000, 20000, 80000}
              : std::vector<double>{2000, 20000};

@@ -605,8 +605,7 @@ std::string usage() {
   {
     std::vector<std::string> names = predict::interpreter_backends();
     names.emplace_back("flint");
-    for (const auto& list : {predict::simd_backends(),
-                             predict::layout_backends(),
+    for (const auto& list : {predict::layout_backends(),
                              predict::quant_backends(),
                              predict::jit_backends()}) {
       names.insert(names.end(), list.begin(), list.end());

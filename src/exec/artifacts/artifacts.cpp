@@ -15,7 +15,6 @@ ExecArtifacts<T>::ExecArtifacts(const trees::Forest<T>& forest,
     : forest_(&forest),
       stats_(trees::forest_stats(forest)),
       tables_(layout::build_key_tables(forest)) {
-  fit_.ranks_fit_int16 = tables_.fits_int16();
   fit_.feature_count = forest.feature_count();
   fit_.num_classes = forest.num_classes();
   plan_ = layout::auto_plan(stats_, fit_, block_size, cache, force_width);
@@ -48,27 +47,6 @@ ExecArtifacts<T>::try_compact16_at(std::size_t hot_depth, std::string* why) {
   }
   if (!it->second) {
     if (why != nullptr) *why = c16_why_[hot_depth];
-    return nullptr;
-  }
-  return &*it->second;
-}
-
-template <typename T>
-const layout::CompactForest<T, layout::CompactNode8>*
-ExecArtifacts<T>::try_compact8_at(std::size_t hot_depth, std::string* why) {
-  auto it = c8_.find(hot_depth);
-  if (it == c8_.end()) {
-    layout::LayoutPlan plan = plan_;
-    plan.width = layout::NodeWidth::C8;
-    plan.hot_depth = hot_depth;
-    std::string reason;
-    auto packed = layout::try_pack<T, layout::CompactNode8>(*forest_, plan,
-                                                            tables_, &reason);
-    it = c8_.emplace(hot_depth, std::move(packed)).first;
-    c8_why_[hot_depth] = reason;
-  }
-  if (!it->second) {
-    if (why != nullptr) *why = c8_why_[hot_depth];
     return nullptr;
   }
   return &*it->second;
@@ -119,15 +97,6 @@ const FlintForestEngine<T>& ExecArtifacts<T>::packed_engine() {
     packed_.emplace(*forest_, FlintVariant::Encoded);
   }
   return *packed_;
-}
-
-template <typename T>
-const simd::SoaForest<T>& ExecArtifacts<T>::soa() {
-  if (!soa_) {
-    soa_.emplace(*forest_);
-    soa_->build_narrow_keys(tables_);
-  }
-  return *soa_;
 }
 
 template <typename T>

@@ -1,18 +1,17 @@
 // exec/artifacts — the one-stop execution-artifact bundle.
 //
 // Every execution family used to re-derive its own view of the forest at
-// construction time: the wide interpreter packed PackedNode arrays, the SIMD
-// engine built SoA struct-of-arrays, the layout engine ran the auto-tuner
-// and packed CompactNode16/8 images, codegen walked the trees yet again, and
-// verify rebuilt all of them a second time to check images it never actually
-// executed.  ExecArtifacts centralizes that: built once per forest, it owns
+// construction time: the wide interpreter packed PackedNode arrays, the
+// layout engine ran the auto-tuner and packed compact images, codegen
+// walked the trees yet again, and verify rebuilt all of them a second time
+// to check images it never actually executed.  ExecArtifacts centralizes
+// that: built once per forest, it owns
 //
 //   * ForestStats            — shape/branch summaries (one DFS),
 //   * KeyTableSet            — per-feature monotone threshold tables,
 //   * NarrowFit + LayoutPlan — the auto-tuner verdict,
 //   * PackedNode image       — via the wide Encoded interpreter engine,
-//   * SoaForest              — SIMD arrays with narrowed keys,
-//   * CompactForest<16/8>    — compact images, cached per hot_depth,
+//   * CompactForest<16>      — the c16 image, cached per hot_depth,
 //   * Q4Forest               — the 4-byte quantized image + its QuantPlan,
 //   * content_hash           — a structural FNV-1a digest keying the JIT
 //                              compile cache.
@@ -20,7 +19,7 @@
 // The eager part of construction is the cheap summary set (stats, tables,
 // plan); each packed image is built lazily on first access and cached.
 // make_predictor builds one bundle per layout-family predictor and plans
-// from it (c16/c8 pack over its plan and key tables, q4 takes its image,
+// from it (c16 packs over its plan and key tables, q4 takes its image,
 // jit:layout generates from its c16 image); `flint-forest inspect` reports
 // the same plan from a bundle of its own.  verify_model also builds its own
 // bundle and checks the images at hot depths 0 and 4 only — not the image
@@ -40,7 +39,6 @@
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "exec/simd/soa.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
 
@@ -77,15 +75,13 @@ class ExecArtifacts {
     return plan_;
   }
 
-  /// Compact images at a given hot_depth (cached per depth).  compact16()
+  /// Packed images at a given hot_depth (cached per depth).  compact16()
   /// packs at plan().hot_depth and throws std::invalid_argument with the
   /// packer's reason when the model is not representable at that width;
   /// the try_ variants return nullptr and set `why` instead (verify walks
   /// every width without aborting).
   const layout::CompactForest<T, layout::CompactNode16>& compact16();
   const layout::CompactForest<T, layout::CompactNode16>* try_compact16_at(
-      std::size_t hot_depth, std::string* why = nullptr);
-  const layout::CompactForest<T, layout::CompactNode8>* try_compact8_at(
       std::size_t hot_depth, std::string* why = nullptr);
   const layout::Q4Forest<T>* try_q4_at(std::size_t hot_depth,
                                        std::string* why = nullptr);
@@ -97,9 +93,6 @@ class ExecArtifacts {
 
   /// The wide interpreter's packed image, via the Encoded engine (cached).
   const FlintForestEngine<T>& packed_engine();
-
-  /// SIMD struct-of-arrays image with narrow keys built (cached).
-  const simd::SoaForest<T>& soa();
 
   /// Structural content digest: forest topology, threshold bits, flags,
   /// category bitsets, leaf payloads, class/feature counts.  Any split
@@ -116,15 +109,10 @@ class ExecArtifacts {
   std::map<std::size_t,
            std::optional<layout::CompactForest<T, layout::CompactNode16>>>
       c16_;
-  std::map<std::size_t,
-           std::optional<layout::CompactForest<T, layout::CompactNode8>>>
-      c8_;
   std::map<std::size_t, std::optional<layout::Q4Forest<T>>> q4_;
   std::map<std::size_t, std::string> c16_why_;
-  std::map<std::size_t, std::string> c8_why_;
   std::map<std::size_t, std::string> q4_why_;
   std::optional<FlintForestEngine<T>> packed_;
-  std::optional<simd::SoaForest<T>> soa_;
   mutable std::optional<std::uint64_t> hash_;
 };
 

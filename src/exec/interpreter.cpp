@@ -232,14 +232,6 @@ std::int32_t FlintForestEngine<T>::predict_tree(
 }
 
 template <typename T>
-void FlintForestEngine<T>::remap_keys(std::span<const T> x,
-                                      std::span<Signed> out) const {
-  for (std::size_t f = 0; f < feature_count_; ++f) {
-    out[f] = core::to_radix_key(x[f]);
-  }
-}
-
-template <typename T>
 void FlintForestEngine<T>::predict_batch(const data::Dataset<T>& dataset,
                                          std::span<std::int32_t> out) const {
   if (out.size() < dataset.rows()) {
@@ -340,13 +332,6 @@ std::int32_t FloatForestEngine<T>::predict(std::span<const T> x) const {
     }
   }
   return best_class;
-}
-
-template <typename T>
-std::int32_t FloatForestEngine<T>::predict_tree(std::size_t t,
-                                                std::span<const T> x) const {
-  return has_special_ ? predict_tree_impl<true>(roots_[t], x)
-                      : predict_tree_impl<false>(roots_[t], x);
 }
 
 template <typename T>

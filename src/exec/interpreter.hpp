@@ -10,7 +10,7 @@
 //                             EncodedThreshold (Theorem 2 at build time);
 //                             the hot loop is a single integer compare.
 //   * FlintVariant::Theorem1 / Theorem2 — the runtime formulations, kept for
-//                             the ablation benches.
+//                             the ablation bench.
 //   * FlintVariant::RadixKey — splits pre-mapped to monotone keys; the
 //                             feature vector is remapped once per sample.
 //
@@ -90,19 +90,11 @@ class FlintForestEngine {
 
   /// Class predicted by tree `t` alone.  Thread-safe (touches no mutable
   /// scratch), which makes it the building block of the blocked batch path
-  /// in predict/.  The RadixKey variant reads the remapped feature vector
-  /// from `keys` (see remap_keys); the other variants ignore `keys`.
+  /// in predict/.  The RadixKey variant reads the sample's radix keys
+  /// (core::to_radix_key per feature) from `keys`; the other variants
+  /// ignore `keys`.
   [[nodiscard]] std::int32_t predict_tree(std::size_t t, std::span<const T> x,
                                           std::span<const Signed> keys = {}) const;
-
-  /// True iff predict_tree requires a remapped key vector (RadixKey).
-  [[nodiscard]] bool needs_keys() const noexcept {
-    return variant_ == FlintVariant::RadixKey;
-  }
-
-  /// Remaps one sample to monotone radix keys; `out` needs feature_count()
-  /// slots.  Thread-safe.  Only meaningful for the RadixKey variant.
-  void remap_keys(std::span<const T> x, std::span<Signed> out) const;
 
   /// Batch prediction; `out` must have one slot per row.
   void predict_batch(const data::Dataset<T>& dataset, std::span<std::int32_t> out) const;
@@ -169,8 +161,6 @@ class FloatForestEngine {
   [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
   [[nodiscard]] std::size_t tree_count() const noexcept { return roots_.size(); }
   [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
-  /// Class predicted by tree `t` alone.  Thread-safe.
-  [[nodiscard]] std::int32_t predict_tree(std::size_t t, std::span<const T> x) const;
   void predict_batch(const data::Dataset<T>& dataset, std::span<std::int32_t> out) const;
   [[nodiscard]] double accuracy(const data::Dataset<T>& dataset) const;
 

@@ -26,13 +26,6 @@ T normalize_zero(T split) {
   return split == T{0} ? T{0} : split;
 }
 
-template <typename T, typename Node>
-constexpr bool identity_keys_for() {
-  // float thresholds ARE monotone int32 keys under to_radix_key, so the
-  // 16-byte float node skips the rank table (and the per-sample search).
-  return std::is_same_v<T, float> && sizeof(decltype(Node::key)) == 4;
-}
-
 std::int32_t argmax_first(const int* votes, int num_classes) {
   std::int32_t best = 0;
   for (int c = 1; c < num_classes; ++c) {
@@ -40,14 +33,6 @@ std::int32_t argmax_first(const int* votes, int num_classes) {
   }
   return best;
 }
-
-void set_default_left(CompactNode16& n) { n.aux |= kC16DefaultLeft; }
-void set_categorical(CompactNode16& n) { n.aux |= kC16Categorical; }
-void set_default_left(CompactNode8& n) {
-  n.feature = static_cast<std::int16_t>(static_cast<std::uint16_t>(n.feature) |
-                                        kC8DefaultLeftBit);
-}
-void set_categorical(CompactNode8& n) { n.right_off |= kC8CategoricalBit; }
 
 }  // namespace
 
@@ -180,16 +165,15 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
   CompactForest<T, Node> packed;
   packed.num_classes = forest.num_classes();
   packed.feature_count = forest.feature_count();
-  packed.identity_keys = identity_keys_for<T, Node>();
+  // float thresholds ARE monotone int32 keys under to_radix_key, so the
+  // float node skips the rank table (and the per-sample search).
+  packed.identity_keys = std::is_same_v<T, float>;
   packed.has_special = forest.has_special_splits();
   if (!packed.identity_keys) packed.tables = tables;
 
-  // Representability gates for the narrow fields.
-  constexpr std::int64_t key_max =
-      sizeof(Key) == 2 ? 32767 : 0x7FFF'FFFFll;
-  constexpr std::int64_t feature_max =
-      sizeof(decltype(Node::feature)) == 2 ? 32767 : 0x7FFF'FFFFll;
-  if (static_cast<std::int64_t>(packed.feature_count) > feature_max) {
+  // Representability gates for the int32 fields.
+  constexpr std::int64_t key_max = 0x7FFF'FFFFll;
+  if (static_cast<std::int64_t>(packed.feature_count) > key_max) {
     return fail("feature index does not fit the node's feature field");
   }
   if (packed.num_classes > key_max) {
@@ -240,8 +224,7 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
                        static_cast<std::size_t>(it.tree));
       out.key = static_cast<Key>(nd.prediction);
       // Feature 0 (any valid column), not -1: the branchless lockstep
-      // loops read keys[feature] before the leaf test resolves, exactly
-      // like the SoA kernels' clamped leaf column.
+      // loops read keys[feature] before the leaf test resolves.
       out.feature = 0;
       out.right_off = -1;  // sign bit = leaf tag
     } else {
@@ -258,16 +241,8 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
         throw std::logic_error(
             "layout::try_pack: right child placed before its parent");
       }
-      if (packed.has_special && sizeof(Node) == 8 &&
-          off >= static_cast<std::int64_t>(kC8CategoricalBit)) {
-        // Special C8 forests borrow right_off bit 30 for the categorical
-        // tag, so their plain offsets must stay below it.
-        return fail("right-child offset does not fit the special-split C8 "
-                    "offset range");
-      }
       out.right_off = static_cast<std::int32_t>(off);
-      out.feature =
-          static_cast<decltype(Node::feature)>(nd.feature);
+      out.feature = nd.feature;
       if (nd.is_categorical()) {
         // One engine slot per categorical node: the slot remembers its
         // feature and bitset so per-sample membership precomputes per slot.
@@ -280,7 +255,7 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
                                 set.end());
         packed.cat_feature.push_back(nd.feature);
         out.key = static_cast<Key>(slot);
-        set_categorical(out);
+        out.aux |= kC16Categorical;
       } else if (packed.identity_keys) {
         out.key = static_cast<Key>(core::to_radix_key(
             normalize_zero(nd.split)));
@@ -291,7 +266,7 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
             tables.features[static_cast<std::size_t>(nd.feature)],
             nd.split));
       }
-      if (nd.default_left()) set_default_left(out);
+      if (nd.default_left()) out.aux |= kC16DefaultLeft;
     }
     packed.nodes[p] = out;
   }
@@ -308,9 +283,7 @@ namespace {
 /// across-samples dual of the latency path's across-trees interleave.  One
 /// serial pointer chase per sample would leave the memory system idle
 /// between dependent node fetches; W independent chases overlap in the
-/// out-of-order window (the same memory-level parallelism the SoA kernels
-/// exploit, but each step costs one compact node load instead of gathers
-/// from five parallel arrays).
+/// out-of-order window, each step one compact node load.
 constexpr std::size_t kBlockLockstep = 16;
 
 /// Blocked remap + lockstep traversal shared by the vote and score
@@ -370,10 +343,8 @@ void blocked_traverse(const CompactForest<T, Node>& f, std::size_t block_size,
             const std::int32_t off = nd.right_off;
             const bool leaf = off < 0;
             bool go;
-            std::int32_t step_off = off;
             if constexpr (Special) {
-              if (!leaf) step_off = node_right_off(nd);
-              const auto fi = static_cast<std::size_t>(node_feature(nd));
+              const auto fi = static_cast<std::size_t>(nd.feature);
               const std::uint8_t* nrow = nan_mask.data() + (s0 + r) * cols;
               if (nrow[fi]) {
                 go = node_default_left(nd);
@@ -387,9 +358,9 @@ void blocked_traverse(const CompactForest<T, Node>& f, std::size_t block_size,
               go = krow[r][static_cast<std::size_t>(nd.feature)] <= nd.key;
             }
             if constexpr (Prefetch) {
-              FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : step_off)]);
+              FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : off)]);
             }
-            cur[r] += leaf ? 0 : (go ? 1 : step_off);
+            cur[r] += leaf ? 0 : (go ? 1 : off);
             any_inner |= !leaf;
           }
         }
@@ -459,10 +430,8 @@ void predict_one_interleaved(const CompactForest<T, Node>& f,
           continue;
         }
         bool go;
-        std::int32_t step_off = off;
         if constexpr (Special) {
-          step_off = node_right_off(nd);
-          const auto fi = static_cast<std::size_t>(node_feature(nd));
+          const auto fi = static_cast<std::size_t>(nd.feature);
           if (nan_mask[fi]) {
             go = node_default_left(nd);
           } else if (node_categorical(nd)) {
@@ -474,9 +443,9 @@ void predict_one_interleaved(const CompactForest<T, Node>& f,
           go = keys[nd.feature] <= nd.key;
         }
         if constexpr (Prefetch) {
-          FLINT_PREFETCH(&nodes[cur[r] + step_off]);
+          FLINT_PREFETCH(&nodes[cur[r] + off]);
         }
-        const std::int32_t next = cur[r] + (go ? 1 : step_off);
+        const std::int32_t next = cur[r] + (go ? 1 : off);
         FLINT_PREFETCH(&nodes[next]);  // overlaps with the other lanes
         cur[r] = next;
       }
@@ -604,7 +573,7 @@ void predict_batch_impl(const CompactForest<T, Node>& f,
   // FLINT_LAYOUT_FORCE_SCALAR=1 pins the portable lockstep loop — used by
   // the tests to cover the scalar path on hosts that would always take the
   // vector kernel, and as an escape hatch when diagnosing either.  The
-  // node-count gate keeps the kernel's int32 BYTE offsets (index << 4/3)
+  // node-count gate keeps the kernel's int32 BYTE offsets (index << 4)
   // from wrapping on images past 2 GiB — such forests fall back to the
   // scalar loop, whose indices stay element-scaled.
   const char* force_scalar = std::getenv("FLINT_LAYOUT_FORCE_SCALAR");
@@ -644,28 +613,17 @@ LayoutForestEngine<T>::LayoutForestEngine(const trees::Forest<T>& forest,
   plan_.block_size = std::max<std::size_t>(plan_.block_size, 1);
   plan_.interleave = std::clamp<std::size_t>(plan_.interleave, 1,
                                              kMaxInterleave);
-  std::string why;
-  if (plan_.width == NodeWidth::C16) {
-    auto packed = try_pack<T, CompactNode16>(forest, plan_, tables, &why);
-    if (!packed) {
-      throw std::invalid_argument("LayoutForestEngine(c16): " + why);
-    }
-    node_bytes_ = sizeof(CompactNode16);
-    hot_nodes_ = packed->hot_nodes;
-    packed_ = std::move(*packed);
-  } else if (plan_.width == NodeWidth::C8) {
-    auto packed = try_pack<T, CompactNode8>(forest, plan_, tables, &why);
-    if (!packed) {
-      throw std::invalid_argument("LayoutForestEngine(c8): " + why);
-    }
-    node_bytes_ = sizeof(CompactNode8);
-    hot_nodes_ = packed->hot_nodes;
-    packed_ = std::move(*packed);
-  } else {
+  if (plan_.width != NodeWidth::C16) {
     throw std::invalid_argument(
-        "LayoutForestEngine: Wide is the factory fallback, not an engine "
-        "width");
+        "LayoutForestEngine: only the 16-byte width is an engine mode");
   }
+  std::string why;
+  auto packed = try_pack<T, CompactNode16>(forest, plan_, tables, &why);
+  if (!packed) {
+    throw std::invalid_argument("LayoutForestEngine(c16): " + why);
+  }
+  hot_nodes_ = packed->hot_nodes;
+  packed_ = std::move(*packed);
   num_classes_ = forest.num_classes();
   feature_count_ = forest.feature_count();
   tree_count_ = forest.size();
@@ -673,15 +631,13 @@ LayoutForestEngine<T>::LayoutForestEngine(const trees::Forest<T>& forest,
 }
 
 template <typename T>
-template <typename Node>
-void LayoutForestEngine<T>::bind_packed(CompactForest<T, Node> packed) {
+void LayoutForestEngine<T>::bind_packed(CompactForest<T, CompactNode16> packed) {
   if (packed.nodes.empty()) {
     throw std::invalid_argument("LayoutForestEngine: empty packed image");
   }
   plan_.block_size = std::max<std::size_t>(plan_.block_size, 1);
   plan_.interleave =
       std::clamp<std::size_t>(plan_.interleave, 1, kMaxInterleave);
-  node_bytes_ = sizeof(Node);
   hot_nodes_ = packed.hot_nodes;
   num_classes_ = packed.num_classes;
   feature_count_ = packed.feature_count;
@@ -699,23 +655,11 @@ LayoutForestEngine<T>::LayoutForestEngine(
 }
 
 template <typename T>
-LayoutForestEngine<T>::LayoutForestEngine(CompactForest<T, CompactNode8> packed,
-                                          const LayoutPlan& plan)
-    : plan_(plan) {
-  plan_.width = NodeWidth::C8;
-  bind_packed(std::move(packed));
-}
-
-template <typename T>
 void LayoutForestEngine<T>::predict_batch(const T* features,
                                           std::size_t n_samples,
                                           std::int32_t* out) const {
   if (n_samples == 0) return;
-  std::visit(
-      [&](const auto& packed) {
-        predict_batch_impl(packed, plan_, features, n_samples, out);
-      },
-      packed_);
+  predict_batch_impl(packed_, plan_, features, n_samples, out);
 }
 
 template <typename T>
@@ -740,29 +684,22 @@ void LayoutForestEngine<T>::predict_scores(const T* features,
       out[s * n_outputs + j] = base.empty() ? T{0} : base[j];
     }
   }
-  std::visit(
-      [&](const auto& packed) {
-        if (packed.has_special) {
-          if (plan_.prefetch_opposite) {
-            score_blocked<true, true>(packed, plan_.block_size, features,
-                                      n_samples, leaf_values.data(),
-                                      n_outputs, out);
-          } else {
-            score_blocked<false, true>(packed, plan_.block_size, features,
-                                       n_samples, leaf_values.data(),
-                                       n_outputs, out);
-          }
-        } else if (plan_.prefetch_opposite) {
-          score_blocked<true, false>(packed, plan_.block_size, features,
-                                     n_samples, leaf_values.data(), n_outputs,
-                                     out);
-        } else {
-          score_blocked<false, false>(packed, plan_.block_size, features,
-                                      n_samples, leaf_values.data(),
-                                      n_outputs, out);
-        }
-      },
-      packed_);
+  if (packed_.has_special) {
+    if (plan_.prefetch_opposite) {
+      score_blocked<true, true>(packed_, plan_.block_size, features, n_samples,
+                                leaf_values.data(), n_outputs, out);
+    } else {
+      score_blocked<false, true>(packed_, plan_.block_size, features,
+                                 n_samples, leaf_values.data(), n_outputs,
+                                 out);
+    }
+  } else if (plan_.prefetch_opposite) {
+    score_blocked<true, false>(packed_, plan_.block_size, features, n_samples,
+                               leaf_values.data(), n_outputs, out);
+  } else {
+    score_blocked<false, false>(packed_, plan_.block_size, features,
+                                n_samples, leaf_values.data(), n_outputs, out);
+  }
 }
 
 template <typename T>
@@ -777,22 +714,14 @@ template EmissionOrder compute_emission_order<float>(
 template EmissionOrder compute_emission_order<double>(
     const trees::Forest<double>&, std::size_t);
 template struct CompactForest<float, CompactNode16>;
-template struct CompactForest<float, CompactNode8>;
 template struct CompactForest<double, CompactNode16>;
-template struct CompactForest<double, CompactNode8>;
 template std::optional<CompactForest<float, CompactNode16>>
 try_pack<float, CompactNode16>(const trees::Forest<float>&, const LayoutPlan&,
                                const KeyTableSet<float>&, std::string*);
-template std::optional<CompactForest<float, CompactNode8>>
-try_pack<float, CompactNode8>(const trees::Forest<float>&, const LayoutPlan&,
-                              const KeyTableSet<float>&, std::string*);
 template std::optional<CompactForest<double, CompactNode16>>
 try_pack<double, CompactNode16>(const trees::Forest<double>&,
                                 const LayoutPlan&, const KeyTableSet<double>&,
                                 std::string*);
-template std::optional<CompactForest<double, CompactNode8>>
-try_pack<double, CompactNode8>(const trees::Forest<double>&, const LayoutPlan&,
-                               const KeyTableSet<double>&, std::string*);
 template class LayoutForestEngine<float>;
 template class LayoutForestEngine<double>;
 

@@ -3,16 +3,15 @@
 // Once FLInt reduces every split to one integer compare, random-forest
 // inference is memory-bound: the wide interpreter's 16/24-byte PackedNode
 // stream dominates, and deep-forest throughput degrades exactly where the
-// packed image spills out of cache.  This module re-packs a forest into
-// node formats engineered for the memory hierarchy:
+// packed image spills out of cache.  This module re-packs a forest into a
+// node format engineered for the memory hierarchy:
 //
 //   CompactNode16 (16 B)  int32 key + int32 right offset + int32 feature
-//                         (+ explicit pad so four nodes tile a 64-byte
-//                         line and no node ever straddles one);
-//   CompactNode8  (8 B)   int16 key + int16 feature + int32 right offset —
-//                         half the bytes per fetched node, eight per line.
+//                         (+ a flags word so four nodes tile a 64-byte
+//                         line and no node ever straddles one).
 //
-// Three layout tricks, applied to both widths:
+// The 4-byte quantized word (quant4.hpp) shares its placement.  Three
+// layout tricks:
 //
 //   * implicit left child — an inner node's left child is ALWAYS the next
 //     node (left = self + 1), so nodes store only a relative right offset
@@ -20,9 +19,9 @@
 //     bit (right_off < 0) and carry their class id in `key`; no separate
 //     leaf array, no absolute child indices.
 //   * order-preserving threshold narrowing — node keys are either the raw
-//     int32 radix key (float/C16, no per-sample table lookup) or the
-//     feature's rank in a per-feature monotone key table (narrow.hpp);
-//     both make `x <= s` a single narrow integer compare, exactly.
+//     int32 radix key (float, no per-sample table lookup) or the feature's
+//     rank in a per-feature monotone key table (narrow.hpp, double); both
+//     make `x <= s` a single integer compare, exactly.
 //   * placement — the left-spine of every subtree is contiguous by the
 //     implicit-left rule, so placement freedom is *where right subtrees
 //     go*.  hot_depth = 0 emits each tree in preorder (every subtree a
@@ -34,9 +33,9 @@
 //     working set every sample touches), and the subtrees hanging below
 //     the slab are emitted as preorder clusters behind it.
 //
-// Traversal comes in two shapes (dual of exec/simd's across-samples
-// lockstep): a blocked batch loop (remap a block of samples to narrow keys
-// once, then stream each tree's nodes across the block) and an interleaved
+// Traversal comes in two shapes: a blocked batch loop (remap a block of
+// samples to keys once, then stream each tree's nodes across the block,
+// several samples in lockstep) and an interleaved
 // latency path that walks `plan.interleave` trees of ONE sample in
 // lockstep, so independent node fetches overlap in the out-of-order window,
 // optionally software-prefetching the right ("opposite" of the implicit
@@ -54,7 +53,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "core/flint.hpp"
@@ -84,53 +82,17 @@ struct CompactNode16 {
 };
 static_assert(sizeof(CompactNode16) == 16, "CompactNode16 must stay 16 bytes");
 
-/// 8-byte compact node: same scheme with int16 key/feature.  No spare word,
-/// so the missing/categorical bits hide in spare bits of existing fields:
-/// feature indices are gated <= 32767 at pack time, freeing feature bit 15
-/// for default-left, and right offsets of special forests are gated
-/// < 2^30, freeing right_off bit 30 for the categorical tag (the sign bit
-/// stays the leaf tag, tested first).  Both bits are zero in forests
-/// without special splits, so the fast traversal reads the fields raw.
-struct CompactNode8 {
-  std::int16_t key = 0;
-  std::int16_t feature = -1;
-  std::int32_t right_off = -1;
-};
-static_assert(sizeof(CompactNode8) == 8, "CompactNode8 must stay 8 bytes");
-
-inline constexpr std::uint16_t kC8DefaultLeftBit = 0x8000u;  ///< feature bit 15
-inline constexpr std::int32_t kC8CategoricalBit = 1 << 30;   ///< right_off bit 30
-
-/// Flag/field accessors the Special traversal uses; the non-special path
-/// keeps reading the raw fields (bit-identical to the pre-missing layout).
+/// Flag accessors the Special traversal uses; the non-special path never
+/// reads `aux`.
 [[nodiscard]] inline bool node_default_left(const CompactNode16& n) noexcept {
   return (n.aux & kC16DefaultLeft) != 0;
 }
 [[nodiscard]] inline bool node_categorical(const CompactNode16& n) noexcept {
   return (n.aux & kC16Categorical) != 0;
 }
-[[nodiscard]] inline std::int32_t node_feature(const CompactNode16& n) noexcept {
-  return n.feature;
-}
-[[nodiscard]] inline std::int32_t node_right_off(const CompactNode16& n) noexcept {
-  return n.right_off;
-}
-[[nodiscard]] inline bool node_default_left(const CompactNode8& n) noexcept {
-  return (static_cast<std::uint16_t>(n.feature) & kC8DefaultLeftBit) != 0;
-}
-[[nodiscard]] inline bool node_categorical(const CompactNode8& n) noexcept {
-  return n.right_off >= 0 && (n.right_off & kC8CategoricalBit) != 0;
-}
-[[nodiscard]] inline std::int32_t node_feature(const CompactNode8& n) noexcept {
-  return static_cast<std::int32_t>(static_cast<std::uint16_t>(n.feature) &
-                                   ~kC8DefaultLeftBit);
-}
-[[nodiscard]] inline std::int32_t node_right_off(const CompactNode8& n) noexcept {
-  return n.right_off >= 0 ? (n.right_off & ~kC8CategoricalBit) : n.right_off;
-}
 
-/// A forest packed into one compact node array.  `Node` is CompactNode16
-/// or CompactNode8; `Key` follows its key field.
+/// A forest packed into one compact node array.  `Node` is CompactNode16;
+/// `Key` follows its key field.
 template <typename T, typename Node>
 struct CompactForest {
   using Key = decltype(Node::key);
@@ -138,7 +100,7 @@ struct CompactForest {
   int num_classes = 0;
   std::size_t feature_count = 0;
   std::size_t hot_nodes = 0;     ///< nodes in the hot slab (0 for pure DFS)
-  bool identity_keys = false;    ///< float/C16: key = radix key, table-free
+  bool identity_keys = false;    ///< float: key = radix key, table-free
   bool has_special = false;      ///< any default-left / categorical node
   std::vector<Node> nodes;       ///< all trees, placement per LayoutPlan
   std::vector<std::int32_t> roots;  ///< position of each tree's root
@@ -243,36 +205,33 @@ template <typename T>
 [[nodiscard]] EmissionOrder compute_emission_order(
     const trees::Forest<T>& forest, std::size_t hot_depth);
 
-/// Packs `forest` per `plan` (width + hot_depth are consulted; Wide is not
-/// packable).  Returns std::nullopt and sets `why` when the model cannot be
-/// represented at this width (rank/feature/class overflow) — the factory
-/// then falls back to the next wider format.  `tables` is shared with the
-/// caller (built once per forest, reused across fallback attempts).
+/// Packs `forest` per `plan` (hot_depth is consulted).  Returns
+/// std::nullopt and sets `why` when the model cannot be represented in the
+/// node fields (rank/feature/class overflow).  `tables` is shared with the
+/// caller (built once per forest).
 template <typename T, typename Node>
 [[nodiscard]] std::optional<CompactForest<T, Node>> try_pack(
     const trees::Forest<T>& forest, const LayoutPlan& plan,
     const KeyTableSet<T>& tables, std::string* why = nullptr);
 
-/// Compact-layout execution engine: owns one packed forest at the plan's
-/// width and serves both traversal shapes.  The source Forest does not need
+/// Compact-layout execution engine: owns one packed c16 forest and serves
+/// both traversal shapes.  The source Forest does not need
 /// to outlive it.  predict/predict_batch are const-thread-safe (all vote
 /// and key scratch is function-local), so ParallelPredictor can partition
 /// batches without cloning.
 template <typename T>
 class LayoutForestEngine {
  public:
-  /// Packs with `plan` (width must be C16 or C8 — Wide is the factory's
+  /// Packs with `plan` (width must be C16 — Wide is the factory's
   /// fallback, not an engine mode).  Throws std::invalid_argument when the
-  /// forest is empty or not representable at the requested width.
+  /// forest is empty or not representable at 16 bytes.
   LayoutForestEngine(const trees::Forest<T>& forest, const LayoutPlan& plan,
                      const KeyTableSet<T>& tables);
 
   /// Binds an already-packed image (exec/artifacts) without re-packing;
-  /// `plan.width` is overridden to match the image's node format.  Throws
-  /// std::invalid_argument on an empty image.
+  /// `plan.width` is overridden to C16.  Throws std::invalid_argument on an
+  /// empty image.
   LayoutForestEngine(CompactForest<T, CompactNode16> packed,
-                     const LayoutPlan& plan);
-  LayoutForestEngine(CompactForest<T, CompactNode8> packed,
                      const LayoutPlan& plan);
 
   [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }
@@ -282,8 +241,10 @@ class LayoutForestEngine {
   }
   [[nodiscard]] std::size_t tree_count() const noexcept { return tree_count_; }
   [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
-  /// Bytes per packed node (16 or 8).
-  [[nodiscard]] std::size_t node_bytes() const noexcept { return node_bytes_; }
+  /// Bytes per packed node.
+  [[nodiscard]] std::size_t node_bytes() const noexcept {
+    return sizeof(CompactNode16);
+  }
   /// Nodes in the shared hot slab (0 under pure DFS placement).
   [[nodiscard]] std::size_t hot_node_count() const noexcept {
     return hot_nodes_;
@@ -311,18 +272,15 @@ class LayoutForestEngine {
   [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
 
  private:
-  template <typename Node>
-  void bind_packed(CompactForest<T, Node> packed);
+  void bind_packed(CompactForest<T, CompactNode16> packed);
 
   LayoutPlan plan_;
   int num_classes_ = 0;
   std::size_t feature_count_ = 0;
   std::size_t tree_count_ = 0;
   std::size_t node_count_ = 0;
-  std::size_t node_bytes_ = 0;
   std::size_t hot_nodes_ = 0;
-  std::variant<CompactForest<T, CompactNode16>, CompactForest<T, CompactNode8>>
-      packed_;
+  CompactForest<T, CompactNode16> packed_;
 };
 
 extern template EmissionOrder compute_emission_order<float>(
@@ -330,22 +288,14 @@ extern template EmissionOrder compute_emission_order<float>(
 extern template EmissionOrder compute_emission_order<double>(
     const trees::Forest<double>&, std::size_t);
 extern template struct CompactForest<float, CompactNode16>;
-extern template struct CompactForest<float, CompactNode8>;
 extern template struct CompactForest<double, CompactNode16>;
-extern template struct CompactForest<double, CompactNode8>;
 extern template std::optional<CompactForest<float, CompactNode16>>
 try_pack<float, CompactNode16>(const trees::Forest<float>&, const LayoutPlan&,
                                const KeyTableSet<float>&, std::string*);
-extern template std::optional<CompactForest<float, CompactNode8>>
-try_pack<float, CompactNode8>(const trees::Forest<float>&, const LayoutPlan&,
-                              const KeyTableSet<float>&, std::string*);
 extern template std::optional<CompactForest<double, CompactNode16>>
 try_pack<double, CompactNode16>(const trees::Forest<double>&,
                                 const LayoutPlan&, const KeyTableSet<double>&,
                                 std::string*);
-extern template std::optional<CompactForest<double, CompactNode8>>
-try_pack<double, CompactNode8>(const trees::Forest<double>&, const LayoutPlan&,
-                               const KeyTableSet<double>&, std::string*);
 extern template class LayoutForestEngine<float>;
 extern template class LayoutForestEngine<double>;
 

@@ -4,19 +4,17 @@
 // The scalar blocked loop in compact.cpp walks kBlockLockstep samples in
 // lockstep per tree; on AVX2 hosts the same algorithm runs 8 lanes per
 // vector instruction instead.  Because a compact node is one contiguous
-// 16/8-byte record, a step costs 4 (c16) or 3 (c8) vpgatherdd loads —
-// versus the five parallel-array gathers of the exec/simd SoA kernels —
-// and the gathered image is 1.5-3x smaller, which is what pays off once
-// the forest spills L2.
+// record, a step costs 4 (c16) or 2 (q4) vpgatherdd loads, and the gathered
+// image is small, which is what pays off once the forest spills L2.
 //
 // The AVX2 translation unit is compiled only when CMake detects an x86-64
-// toolchain with -mavx2 (same gate as exec/simd); callers must additionally
-// check layout_avx2_supported() at runtime before dispatching.
+// toolchain with -mavx2; callers must additionally check
+// layout_avx2_supported() at runtime before dispatching.
 //
 // Sample keys arrive as feature-major int32 tiles of 8 lanes
-// (tile[c*8 + l] = narrowed key of lane l, feature c), produced by
-// CompactForest::remap32 with an 8-element stride; votes follow the SoA
-// kernels' convention votes[(tile*8 + l) * classes + c].
+// (tile[c*8 + l] = key of lane l, feature c), produced by
+// CompactForest::remap32 with an 8-element stride; votes are laid out
+// votes[(tile*8 + l) * classes + c].
 #pragma once
 
 #include <cstddef>
@@ -35,10 +33,6 @@ namespace flint::exec::layout {
 /// per-lane votes (see file comment for layouts).  Thread-safe: touches
 /// only its arguments.
 void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
-                        std::size_t trees, const std::int32_t* tiles,
-                        std::size_t n_tiles, std::size_t cols, int* votes,
-                        std::size_t classes);
-void predict_tiles_avx2(const CompactNode8* nodes, const std::int32_t* roots,
                         std::size_t trees, const std::int32_t* tiles,
                         std::size_t n_tiles, std::size_t cols, int* votes,
                         std::size_t classes);

@@ -1,11 +1,9 @@
 // exec/layout/kernels_avx2 — AVX2 lockstep traversal over compact nodes
 // (8 samples per tile).  See kernels.hpp for the tile/vote conventions.
 //
-// Gather addressing: vpgatherdd scales indices by at most 8, while nodes
-// are 16 (c16) or 8 (c8) bytes, so lane indices are pre-shifted into BYTE
-// offsets and gathered with scale 1.  The c8 node packs {int16 key,
-// int16 feature} into its first dword, so one gather fetches both — a c8
-// step is three gathers total (node word 0, right_off, sample key).
+// Gather addressing: vpgatherdd scales indices by at most 8, while c16
+// nodes are 16 bytes, so lane indices are pre-shifted into BYTE offsets
+// and gathered with scale 1.
 //
 // Leaves step by 0 (their gathered offset is negative; the and-not with
 // the leaf mask zeroes the advance), so the loop needs no per-lane active
@@ -30,21 +28,6 @@ namespace {
 
 constexpr std::size_t W = 8;
 
-/// Class id of each converged lane (leaf `key` field).
-template <typename Node>
-inline __m256i leaf_classes(const Node* nodes, __m256i cur) {
-  const char* base = reinterpret_cast<const char*>(nodes);
-  constexpr int shift = sizeof(Node) == 16 ? 4 : 3;
-  const __m256i bytes = _mm256_slli_epi32(cur, shift);
-  const __m256i w0 =
-      _mm256_i32gather_epi32(reinterpret_cast<const int*>(base), bytes, 1);
-  if constexpr (sizeof(Node) == 16) {
-    return w0;
-  } else {
-    return _mm256_srai_epi32(_mm256_slli_epi32(w0, 16), 16);
-  }
-}
-
 /// Independent tiles walked concurrently per tree.  A single tile is a
 /// serial chain (index -> gather -> compare -> index), bound by gather
 /// LATENCY (~a cache access per level); G independent chains pipeline
@@ -52,15 +35,16 @@ inline __m256i leaf_classes(const Node* nodes, __m256i cur) {
 /// vector analog of the scalar path's kBlockLockstep interleave.
 constexpr std::size_t kTileGroup = 4;
 
-template <typename Node>
-void predict_tiles_avx2_impl(const Node* nodes, const std::int32_t* roots,
-                             std::size_t trees, const std::int32_t* tiles,
-                             std::size_t n_tiles, std::size_t cols,
-                             int* votes, std::size_t classes) {
+}  // namespace
+
+void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
+                        std::size_t trees, const std::int32_t* tiles,
+                        std::size_t n_tiles, std::size_t cols, int* votes,
+                        std::size_t classes) {
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i one = _mm256_set1_epi32(1);
   const char* base = reinterpret_cast<const char*>(nodes);
-  constexpr int shift = sizeof(Node) == 16 ? 4 : 3;
+  constexpr int shift = 4;  // 16-byte nodes
   for (std::size_t t = 0; t < trees; ++t) {
     const __m256i root = _mm256_set1_epi32(roots[t]);
     for (std::size_t tile0 = 0; tile0 < n_tiles; tile0 += kTileGroup) {
@@ -85,18 +69,10 @@ void predict_tiles_avx2_impl(const Node* nodes, const std::int32_t* roots,
             --remaining;
             continue;
           }
-          __m256i key, feat;
-          if constexpr (sizeof(Node) == 16) {
-            key = _mm256_i32gather_epi32(reinterpret_cast<const int*>(base),
-                                         bytes, 1);
-            feat = _mm256_i32gather_epi32(
-                reinterpret_cast<const int*>(base + 8), bytes, 1);
-          } else {
-            const __m256i w0 = _mm256_i32gather_epi32(
-                reinterpret_cast<const int*>(base), bytes, 1);
-            key = _mm256_srai_epi32(_mm256_slli_epi32(w0, 16), 16);
-            feat = _mm256_srai_epi32(w0, 16);
-          }
+          const __m256i key = _mm256_i32gather_epi32(
+              reinterpret_cast<const int*>(base), bytes, 1);
+          const __m256i feat = _mm256_i32gather_epi32(
+              reinterpret_cast<const int*>(base + 8), bytes, 1);
           const __m256i kidx =
               _mm256_add_epi32(_mm256_slli_epi32(feat, 3), lane_ids);
           const __m256i kx = _mm256_i32gather_epi32(x[i], kidx, 4);
@@ -108,7 +84,10 @@ void predict_tiles_avx2_impl(const Node* nodes, const std::int32_t* roots,
         }
       }
       for (std::size_t i = 0; i < g; ++i) {
-        const __m256i cls = leaf_classes(nodes, cur[i]);
+        // Class id of each converged lane: the leaf's `key` field.
+        const __m256i cls = _mm256_i32gather_epi32(
+            reinterpret_cast<const int*>(base),
+            _mm256_slli_epi32(cur[i], shift), 1);
         alignas(32) std::int32_t cbuf[W];
         _mm256_store_si256(reinterpret_cast<__m256i*>(cbuf), cls);
         int* vrow = votes + (tile0 + i) * W * classes;
@@ -120,16 +99,16 @@ void predict_tiles_avx2_impl(const Node* nodes, const std::int32_t* roots,
   }
 }
 
-/// q4 walk: the node is ONE dword, so a step is two gathers total (word +
-/// sample key) and the gather scale is the element size itself — no byte
-/// pre-shift.  The leaf tag is the word's own sign bit, so the convergence
-/// test is a movemask of the raw gathered words.
-void predict_tiles_q4_avx2_impl(const std::uint32_t* words,
-                                const std::int32_t* roots, std::size_t trees,
-                                const std::int32_t* tiles, std::size_t n_tiles,
-                                std::size_t cols, int* votes,
-                                std::size_t classes, std::uint32_t key_bits,
-                                std::uint32_t feature_bits) {
+// q4 walk: the node is ONE dword, so a step is two gathers total (word +
+// sample key) and the gather scale is the element size itself — no byte
+// pre-shift.  The leaf tag is the word's own sign bit, so the convergence
+// test is a movemask of the raw gathered words.
+void predict_tiles_q4_avx2(const std::uint32_t* words,
+                           const std::int32_t* roots, std::size_t trees,
+                           const std::int32_t* tiles, std::size_t n_tiles,
+                           std::size_t cols, int* votes, std::size_t classes,
+                           std::uint32_t key_bits,
+                           std::uint32_t feature_bits) {
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i key_mask =
@@ -192,34 +171,6 @@ void predict_tiles_q4_avx2_impl(const std::uint32_t* words,
       }
     }
   }
-}
-
-}  // namespace
-
-void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
-                        std::size_t trees, const std::int32_t* tiles,
-                        std::size_t n_tiles, std::size_t cols, int* votes,
-                        std::size_t classes) {
-  predict_tiles_avx2_impl(nodes, roots, trees, tiles, n_tiles, cols, votes,
-                          classes);
-}
-
-void predict_tiles_avx2(const CompactNode8* nodes, const std::int32_t* roots,
-                        std::size_t trees, const std::int32_t* tiles,
-                        std::size_t n_tiles, std::size_t cols, int* votes,
-                        std::size_t classes) {
-  predict_tiles_avx2_impl(nodes, roots, trees, tiles, n_tiles, cols, votes,
-                          classes);
-}
-
-void predict_tiles_q4_avx2(const std::uint32_t* words,
-                           const std::int32_t* roots, std::size_t trees,
-                           const std::int32_t* tiles, std::size_t n_tiles,
-                           std::size_t cols, int* votes, std::size_t classes,
-                           std::uint32_t key_bits,
-                           std::uint32_t feature_bits) {
-  predict_tiles_q4_avx2_impl(words, roots, trees, tiles, n_tiles, cols, votes,
-                             classes, key_bits, feature_bits);
 }
 
 }  // namespace flint::exec::layout

@@ -22,9 +22,9 @@
 //   sorted[0..i-1], so rank(x) <= i = rank(s); if x > s, splits sorted[0..i]
 //   are all strictly below x, so rank(x) >= i + 1 > rank(s).
 //
-// Ranks fit whatever integer width covers the table size — int16 for up to
-// 32767 distinct splits per feature, int32 always — so an 8-byte node can
-// carry a full-fidelity threshold.  This is the exact-by-construction form
+// Ranks fit whatever integer width covers the table size — up to 16 key
+// bits in the 4-byte node, int32 always — so a narrow node can carry a
+// full-fidelity threshold.  This is the exact-by-construction form
 // of the order-preserving integer narrowing InTreeger applies to thresholds
 // (PAPERS.md); exactness is still *verified* at pack time (strict table
 // order + every split round-trips through its rank) and property-tested on
@@ -145,11 +145,6 @@ struct KeyTableSet {
     }
     return m;
   }
-
-  /// True iff every rank (<= table size) fits an int16 node key.
-  [[nodiscard]] bool fits_int16() const noexcept {
-    return max_table_size() <= 32767;
-  }
 };
 
 /// Collects, per feature, the sorted distinct radix keys of every split in
@@ -165,9 +160,8 @@ template <typename T>
 /// ranks the radix key, and verifies the split actually sits in the table
 /// at that rank (the exactness precondition every packed node relies on).
 /// Throws std::logic_error when it does not — the table was built from a
-/// different forest.  The single helper both the compact packer and
-/// SoaForest::build_narrow_keys go through, so the normalization rule
-/// cannot drift between them.
+/// different forest.  The single helper the compact and 4-byte packers go
+/// through, so the normalization rule cannot drift between them.
 template <typename T>
 [[nodiscard]] std::int32_t rank_of_split(const KeyTable<T>& table, T split);
 

@@ -13,7 +13,6 @@ namespace flint::exec::layout {
 const char* to_string(NodeWidth w) {
   switch (w) {
     case NodeWidth::C16: return "c16";
-    case NodeWidth::C8: return "c8";
     case NodeWidth::Q4: return "q4";
     case NodeWidth::Wide: return "wide";
   }
@@ -141,18 +140,6 @@ std::string width_unfit_reason(NodeWidth width, const NarrowFit& fit) {
         return "feature index does not fit the int32 node field";
       }
       return {};
-    case NodeWidth::C8:
-      if (!fit.ranks_fit_int16) {
-        return "a feature has more than 32767 distinct thresholds "
-               "(rank does not fit the int16 node key)";
-      }
-      if (fit.feature_count > 32767) {
-        return "feature index does not fit the int16 node field";
-      }
-      if (fit.num_classes > 32767) {
-        return "class id does not fit the int16 node key";
-      }
-      return {};
     case NodeWidth::Q4:
       // Necessary static bounds only; the per-forest feature/offset/key
       // bit split is resolved at pack time (try_pack_q4 reports the
@@ -170,13 +157,7 @@ std::string width_unfit_reason(NodeWidth width, const NarrowFit& fit) {
 
 namespace {
 
-std::size_t node_bytes(NodeWidth w) {
-  switch (w) {
-    case NodeWidth::Q4: return 4;
-    case NodeWidth::C8: return 8;
-    default: return 16;
-  }
-}
+std::size_t node_bytes(NodeWidth w) { return w == NodeWidth::Q4 ? 4 : 16; }
 
 }  // namespace
 
@@ -192,7 +173,7 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
   // image is known to spill L2).
   plan.block_size = std::max<std::size_t>(block_size, 256);
 
-  // Width: narrow to 8 bytes only once the 16-byte image spills L2 by a
+  // Width: narrow to 4 bytes only once the 16-byte image spills L2 by a
   // wide margin (2x) AND the per-sample rank remap is amortized — the
   // remap must stay a small fraction of the traversal work (trees x mean
   // leaf depth) it buys back.  remap_cost prices the remap as ~log2(splits)
@@ -200,7 +181,7 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
   // block per level, about 5x cheaper on deep models' tables, so the price
   // is conservative.  It stays so that no plan moves until a regime bench
   // measures the crossover.  c16-float needs no table at all.  A forced
-  // width (pinned layout:c16/c8 backend) skips the choice but still gets
+  // width (pinned layout:c16/q4 backend) skips the choice but still gets
   // placement and traversal tuned for its own image size below.
   if (force_width) {
     plan.width = *force_width;
@@ -215,19 +196,13 @@ LayoutPlan auto_plan(const trees::ForestStats& stats, const NarrowFit& fit,
     const bool cache_hostile =
         stats.total_nodes * node_bytes(NodeWidth::C16) > 2 * l2;
     const bool remap_amortized = remap_cost * 4.0 < walk;
-    // Narrow-width ladder, 4-byte first: q4 halves c8's image again and its
-    // remap runs once per batch rather than once per block, so whenever c8
-    // would have been worth the remap, q4 dominates it.  The caller
-    // (predictor factory / ExecArtifacts) packs eagerly and demotes via
+    // The caller (ExecArtifacts) packs eagerly and demotes via
     // fit.allow_q4 = false when the bit budget or the quantization
     // accuracy contract fails, so an auto Q4 plan that survives here is
     // only tentative until the pack succeeds.
     if (fit.allow_q4 && width_fits(NodeWidth::Q4, fit) && cache_hostile &&
         remap_amortized) {
       plan.width = NodeWidth::Q4;
-    } else if (width_fits(NodeWidth::C8, fit) && cache_hostile &&
-               remap_amortized) {
-      plan.width = NodeWidth::C8;
     }
   }
   if (!width_fits(plan.width, fit)) {

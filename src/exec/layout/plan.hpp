@@ -7,7 +7,7 @@
 //   * trees::ForestStats        — per-tree depth/node counts, total nodes,
 //                                 per-feature split counts and ranges (one
 //                                 DFS, cached); the split counts price the
-//                                 c8 rank remap, the shape fields size the
+//                                 q4 rank remap, the shape fields size the
 //                                 hot slab;
 //   * layout::KeyTableSet       — per-feature distinct-threshold counts
 //                                 (built once, reused by the packer);
@@ -17,12 +17,13 @@
 //
 // Decision rules (documented in docs/ARCHITECTURE.md):
 //
-//   width      c8 when every feature's rank fits int16, the c16 image
-//              would spill L2 by 2x, *and* the per-sample rank remap stays
-//              a small fraction of the traversal work it buys back; else
-//              c16; Wide only when even c16 cannot represent the model
-//              (feature index or class id overflow — fall back to the
-//              proven wide interpreter).  The remap is priced at
+//   width      q4 when the c16 image would spill L2 by 2x *and* the
+//              per-sample rank remap stays a small fraction of the
+//              traversal work it buys back (tentative: the caller demotes
+//              it when the 4-byte pack or its contract fails); else c16;
+//              Wide only when even c16 cannot represent the model
+//              (feature index overflow — fall back to the proven wide
+//              interpreter).  The remap is priced at
 //              ~log2(splits_f) halving steps per feature, from the
 //              per-feature split counts.  The KeyTable search index ranks
 //              in one 64-byte block per level, so that price is
@@ -55,7 +56,7 @@ namespace flint::exec::layout {
 /// checks here are necessary-but-not-sufficient — callers that auto-tune
 /// Q4 must be prepared to demote when packing or the quantization contract
 /// fails (NarrowFit::allow_q4 is the demotion lever).
-enum class NodeWidth { C16, C8, Q4, Wide };
+enum class NodeWidth { C16, Q4, Wide };
 
 [[nodiscard]] const char* to_string(NodeWidth w);
 
@@ -79,7 +80,7 @@ struct LayoutPlan {
   /// Software-prefetch the right (non-implicit) child while descending.
   bool prefetch_opposite = false;
 
-  /// Short descriptor for names/bench labels, e.g. "c8/slab4/il8".
+  /// Short descriptor for names/bench labels, e.g. "q4/slab4/il8".
   [[nodiscard]] std::string describe() const;
 };
 
@@ -125,7 +126,6 @@ struct CacheInfo {
 
 /// Narrowing fitness extracted from the key tables (see narrow.hpp).
 struct NarrowFit {
-  bool ranks_fit_int16 = false;     ///< every per-feature table <= 32767 keys
   std::size_t feature_count = 0;
   int num_classes = 0;
   /// Permission flag for the auto ladder only (pinned layout:q4 ignores
@@ -139,7 +139,7 @@ struct NarrowFit {
 /// Picks width + placement + traversal for a forest; `stats` and `fit` are
 /// the cached summaries described in the file comment.  Deterministic given
 /// its inputs (tests pass a fixed CacheInfo).  `force_width` pins the node
-/// width (the layout:c16/c8 backends) — placement and traversal are then
+/// width (the layout:c16/q4 backends) — placement and traversal are then
 /// tuned for THAT width's image size, not the width auto would have chosen;
 /// the caller must have checked width_fits first.
 [[nodiscard]] LayoutPlan auto_plan(

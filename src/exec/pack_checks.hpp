@@ -1,9 +1,9 @@
 // exec/pack_checks — shared pack-time model validation for the execution
 // engines.
 //
-// Every engine family (the AoS interpreters in exec/interpreter and the
-// SoA packer in exec/simd) indexes vote counters by leaf class ids with no
-// bounds check on the hot path, so a model whose header understates
+// Every engine family (the interpreters in exec/interpreter and the c16
+// and q4 packers in exec/layout) indexes vote counters by leaf class ids
+// with no bounds check on the hot path, so a model whose header understates
 // num_classes — reachable through trees::read_forest, whose structural
 // validation does not know the forest-level class count — must be rejected
 // once, when the model is packed.

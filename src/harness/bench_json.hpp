@@ -57,7 +57,7 @@ struct BenchValue {
 class BenchJson {
  public:
   /// `name` without the BENCH_ prefix or .json suffix, e.g.
-  /// "simd_throughput".  Header is pre-populated with bench/git_sha/host/
+  /// "layout_throughput".  Header is pre-populated with bench/git_sha/host/
   /// timestamp fields.
   explicit BenchJson(std::string name);
   ~BenchJson();

@@ -197,9 +197,9 @@ std::vector<RunRecord> run_grid(const GridConfig& config, std::ostream* progress
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const Cell& cell = cells[c];
     const data::Dataset<float>& test = *cell.test;
-    // Reference predictions from the float interpreter backend.
+    // Reference predictions from per-sample Forest::predict.
     const auto reference_predictor =
-        predict::make_predictor(cell.forest, "float");
+        predict::make_predictor(cell.forest, "reference");
     std::vector<std::int32_t> reference(test.rows());
     reference_predictor->predict_batch(test, reference);
 

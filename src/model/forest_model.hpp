@@ -6,7 +6,7 @@
 // classifiers.  The IR separates the two things an ensemble is made of:
 //
 //   * STRUCTURE — a trees::Forest<T>, unchanged, so every existing engine
-//     (interpreters, SoA SIMD kernels, compact layouts, codegen) runs it
+//     (interpreters, compact layouts, codegen) runs it
 //     as-is.  The per-leaf int32 payload is overloaded by leaf kind:
 //       LeafKind::ClassId     payload = class id (the v1 semantics)
 //       LeafKind::ScoreVector payload = ROW INDEX into leaf_values

@@ -2,11 +2,13 @@
 //
 // Every backend is one execution engine plus one aggregation epilogue —
 // FLInt changes only the comparison inside an unchanged traversal.  The
-// engines are the reference (per-sample Forest::predict), the per-tree
-// interpreters (float and the four FLInt variants), the SoA SIMD lanes,
-// the compact 16/8-byte and quantized 4-byte layouts, and the generated
-// jit:layout module; the epilogue is a majority-vote tally, or for
-// additive leaf-value models a tree-order score sum plus the model's link.
+// engines are the reference (per-sample Forest::predict), the encoded
+// FLInt interpreter, the compact 16-byte and quantized 4-byte layouts, and
+// the generated jit:layout module; the epilogue is a majority-vote tally,
+// or for additive leaf-value models a tree-order score sum plus the
+// model's link.  The paper's other formulations (FloatForestEngine and the
+// Theorem 1/2 and radix FlintForestEngine variants) are driven directly by
+// the ablation bench and the tests, not through this factory.
 // Each pair is served behind one interface:
 //
 //     predictor->predict_batch(features, n_samples, out);
@@ -98,7 +100,7 @@ class Predictor {
  public:
   virtual ~Predictor() = default;
 
-  /// Backend id, e.g. "encoded", "jit:layout", "parallel(float,x4)".
+  /// Backend id, e.g. "encoded", "jit:layout", "parallel(encoded,x4)".
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual int num_classes() const noexcept = 0;
   [[nodiscard]] virtual std::size_t feature_count() const noexcept = 0;
@@ -209,9 +211,9 @@ class Predictor {
 
 /// Knobs for make_predictor.
 struct PredictorOptions {
-  /// Samples per cache block of the blocked interpreter backends: each
-  /// block's votes are accumulated tree-group by tree-group so a tree's
-  /// node array is read once per block instead of once per sample.
+  /// Samples per cache block of the blocked backends: each block's votes
+  /// are accumulated tree by tree so a tree's node array is read once per
+  /// block instead of once per sample.
   std::size_t block_size = 64;
   /// > 1 wraps the backend in a ParallelPredictor with this many workers;
   /// 0 means available_parallelism() (hardware_concurrency capped by the
@@ -228,23 +230,16 @@ struct PredictorOptions {
 ///
 ///   reference                 per-sample Forest::predict (votes allocated
 ///                             per call; the semantics baseline)
-///   float                     FloatForestEngine, blocked batch
 ///   flint | encoded           FlintForestEngine/Encoded, blocked batch
-///   theorem1 | theorem2       runtime Theorem formulations, blocked batch
-///   radix                     RadixKey remap engine, blocked batch
-///   simd:flint                SimdForestEngine, lockstep lane traversal
-///                             with FLInt integer compares (AVX2/NEON when
-///                             built and supported, scalar lanes otherwise)
-///   simd:float                SimdForestEngine, hardware-float compares
 ///   layout:auto               the LayoutPlan auto-tuner's verdict
 ///                             (exec/layout/plan.hpp): compact node width +
 ///                             hot-slab placement + traversal picked from
 ///                             forest stats and cache sizes; falls back to
 ///                             the wide encoded engine when no compact
 ///                             width fits
-///   layout:c16 | layout:c8    LayoutForestEngine pinned to 16- or 8-byte
-///                             compact nodes (throws when the model cannot
-///                             be narrowed to that width)
+///   layout:c16                LayoutForestEngine pinned to 16-byte compact
+///                             nodes (throws when the model cannot be
+///                             packed at that width)
 ///   layout:q4                 Q4ForestEngine pinned to 4-byte quantized
 ///                             nodes (exec/layout/quant4.hpp): per-feature
 ///                             exact-rank or calibrated-affine thresholds
@@ -298,10 +293,8 @@ template <typename T>
     const model::ForestModel<T>& model, std::string_view backend,
     const PredictorOptions& options = {});
 
-/// Backend names that need no JIT toolchain (interpreters + reference).
+/// Backend names of the reference and the encoded interpreter.
 [[nodiscard]] std::vector<std::string> interpreter_backends();
-/// Backend names of the data-parallel SoA traversal engines (exec/simd).
-[[nodiscard]] std::vector<std::string> simd_backends();
 /// Backend names of the compact cache-aware layouts (exec/layout).
 [[nodiscard]] std::vector<std::string> layout_backends();
 /// Backend names of the quantized-execution configurations (quant:affine —

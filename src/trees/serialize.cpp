@@ -305,7 +305,7 @@ Forest<T> read_forest(LineReader& reader) {
   for (std::size_t t = 0; t < n_trees; ++t) {
     trees.push_back(read_tree<T>(reader));
     // Tree::validate cannot see the forest-level class count, but every
-    // engine family — interpreters, SoA kernels, and generated jit code —
+    // engine family — interpreters, compact layouts, and generated jit code —
     // indexes a num_classes-wide vote array by leaf class ids without a
     // hot-path bounds check, so a header that understates num_classes must
     // be rejected here.

@@ -31,7 +31,7 @@ namespace flint::trees {
 inline constexpr std::int32_t kNoChild = -1;
 
 /// Engine-wide feature-count ceiling: PackedNode stores feature indices as
-/// int16, and every packed/SoA/key-table artifact allocates O(features)
+/// int16, and every packed/key-table artifact allocates O(features)
 /// side tables, so a model declaring more features than this can neither
 /// execute nor be safely materialized.  ForestModel::validate (i.e. every
 /// loader) and the static verifier enforce it; a hostile header like

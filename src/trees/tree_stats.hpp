@@ -61,7 +61,7 @@ struct FeatureSplitStats {
 /// Whole-forest structural summary, computed once (one DFS per tree) and
 /// meant to be passed around instead of re-walking trees: the layout
 /// auto-tuner (exec/layout/plan.hpp) sizes the hot slab from the per-tree
-/// depth/node counts and prices the c8 rank remap from the per-feature
+/// depth/node counts and prices the q4 rank remap from the per-feature
 /// split counts; the split ranges are exposed for reports and inspection
 /// tools; the packers read total_nodes for reservation — none of them
 /// touch Tree again.

@@ -12,7 +12,6 @@
 #include "exec/interpreter.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/plan.hpp"
-#include "exec/simd/soa.hpp"
 #include "model/loaders.hpp"
 
 namespace flint::verify {
@@ -369,152 +368,15 @@ void verify_packed_nodes(const trees::Forest<T>& forest,
   }
 }
 
-/// SoaForest parallel arrays: index-aligned, leaf self-loops, unified
-/// (threshold, xor_mask) encoding, narrow-key mirror, special side tables.
-template <typename T>
-void verify_soa(const trees::Forest<T>& forest,
-                const exec::simd::SoaForest<T>& f,
-                const exec::layout::KeyTableSet<T>& tables, Report& report) {
-  using Signed = typename core::FloatTraits<T>::Signed;
-  Sink s(report, "soa");
-  const std::size_t total = forest.total_nodes();
-  if (f.feature.size() != total || f.threshold.size() != total ||
-      f.xor_mask.size() != total || f.split.size() != total ||
-      f.left.size() != total || f.right.size() != total ||
-      f.narrow_key.size() != total || f.roots.size() != forest.size() ||
-      f.has_special != forest.has_special_splits() ||
-      f.num_classes != forest.num_classes() ||
-      f.feature_count != forest.feature_count()) {
-    s.add("soa.shape", -1, -1,
-          "parallel array shapes do not match the source forest");
-    return;
-  }
-  if (f.has_special &&
-      (f.flags.size() != total || f.cat_slot.size() != total)) {
-    s.add("soa.special", -1, -1, "flags/cat_slot side tables missing");
-    return;
-  }
-  std::size_t base = 0;
-  std::size_t slot_base = 0;
-  for (std::size_t t = 0; t < forest.size(); ++t) {
-    const auto& tree = forest.tree(t);
-    const auto ti = static_cast<std::int64_t>(t);
-    if (f.roots[t] != static_cast<std::int32_t>(base)) {
-      s.add("soa.shape", ti, -1,
-            "root at " + std::to_string(f.roots[t]) + ", expected " +
-                std::to_string(base));
-      return;
-    }
-    for (std::size_t i = 0; i < tree.size(); ++i) {
-      const auto& n = tree.node(static_cast<std::int32_t>(i));
-      const auto j = base + i;
-      const auto ni = static_cast<std::int64_t>(j);
-      const auto self = static_cast<std::int32_t>(j);
-      ++report.nodes_checked;
-      if (f.feature[j] != n.feature) {
-        s.add("soa.structure", ti, ni, "feature index diverged");
-        continue;
-      }
-      if (f.has_special) {
-        const auto want_flags = n.is_leaf() ? std::uint8_t{0} : n.flags;
-        const auto want_slot =
-            (!n.is_leaf() && n.is_categorical())
-                ? static_cast<std::int32_t>(slot_base) + n.cat_slot
-                : -1;
-        if (f.flags[j] != want_flags || f.cat_slot[j] != want_slot) {
-          s.add("soa.special", ti, ni, "routing flags / cat slot diverged");
-        }
-      }
-      if (n.is_leaf()) {
-        if (f.left[j] != self || f.right[j] != self) {
-          s.add("soa.leaf", ti, ni, "leaf does not self-loop");
-        }
-        if (f.threshold[j] != static_cast<Signed>(n.prediction) ||
-            f.xor_mask[j] != 0 ||
-            f.narrow_key[j] != n.prediction) {
-          s.add("soa.leaf", ti, ni, "leaf payload diverged");
-        }
-        continue;
-      }
-      const auto want_left = n.left + static_cast<std::int32_t>(base);
-      const auto want_right = n.right + static_cast<std::int32_t>(base);
-      if (f.left[j] != want_left || f.right[j] != want_right) {
-        s.add("soa.structure", ti, ni, "child links diverged");
-      }
-      if (n.is_categorical()) {
-        if (f.threshold[j] != 0 || f.xor_mask[j] != 0 ||
-            f.narrow_key[j] != 0) {
-          s.add("soa.threshold", ti, ni,
-                "categorical node carries a live threshold");
-        }
-        continue;
-      }
-      const auto enc = core::encode_threshold_le(n.split);
-      Signed want_threshold = enc.immediate;
-      Signed want_mask = 0;
-      if (enc.mode == core::ThresholdMode::SignFlip) {
-        want_threshold = static_cast<Signed>(~enc.immediate);
-        want_mask = static_cast<Signed>(core::FloatTraits<T>::abs_mask);
-      }
-      if (f.threshold[j] != want_threshold || f.xor_mask[j] != want_mask) {
-        s.add("soa.threshold", ti, ni,
-              "unified (threshold, xor_mask) pair diverged from "
-              "encode_threshold_le of the source split");
-      }
-      const auto rank = checked_rank(
-          tables.features[static_cast<std::size_t>(n.feature)], n.split);
-      if (!rank || f.narrow_key[j] != *rank) {
-        s.add("soa.narrow_key", ti, ni,
-              "narrow key does not equal the split's table rank");
-      }
-    }
-    base += tree.size();
-    slot_base += static_cast<std::size_t>(tree.cat_slot_count());
-  }
-  // Category side tables: one span per slot, content equal to the source.
-  if (f.has_special) {
-    if (f.cat_offsets.size() != f.cat_sizes.size()) {
-      s.add("soa.special", -1, -1, "category offset/size tables ragged");
-      return;
-    }
-    std::size_t slot = 0;
-    for (std::size_t t = 0; t < forest.size() && slot < f.cat_offsets.size();
-         ++t) {
-      const auto& tree = forest.tree(t);
-      for (std::int32_t c = 0; c < tree.cat_slot_count(); ++c, ++slot) {
-        if (slot >= f.cat_offsets.size()) break;
-        const auto off = f.cat_offsets[slot];
-        const auto sz = f.cat_sizes[slot];
-        if (off < 0 || sz < 0 ||
-            static_cast<std::size_t>(off) + static_cast<std::size_t>(sz) >
-                f.cat_words.size()) {
-          s.add("soa.special", static_cast<std::int64_t>(t), -1,
-                "category slot " + std::to_string(slot) +
-                    " words out of range");
-          continue;
-        }
-        const auto want = tree.cat_set(c);
-        if (static_cast<std::size_t>(sz) != want.size() ||
-            !std::equal(want.begin(), want.end(),
-                        f.cat_words.begin() + off)) {
-          s.add("soa.special", static_cast<std::int64_t>(t), -1,
-                "category slot " + std::to_string(slot) +
-                    " bitset diverged");
-        }
-      }
-    }
-  }
-}
-
 /// CompactForest lockstep walk: pairs (source node, packed node) from each
 /// root, enforcing the implicit-left rule, the sign-bit leaf tag, narrowed
 /// keys, flags, and full single-visit coverage of the packed array.
-template <typename T, typename Node>
-void verify_compact(const trees::Forest<T>& forest,
-                    const exec::layout::CompactForest<T, Node>& f,
-                    const exec::layout::KeyTableSet<T>& tables,
-                    Report& report, const char* artifact) {
-  Sink s(report, artifact);
+template <typename T>
+void verify_compact(
+    const trees::Forest<T>& forest,
+    const exec::layout::CompactForest<T, exec::layout::CompactNode16>& f,
+    const exec::layout::KeyTableSet<T>& tables, Report& report) {
+  Sink s(report, "c16");
   const auto size = static_cast<std::int64_t>(f.nodes.size());
   if (f.roots.size() != forest.size() ||
       f.nodes.size() != forest.total_nodes() ||
@@ -563,7 +425,7 @@ void verify_compact(const trees::Forest<T>& forest,
       seen[static_cast<std::size_t>(p)] = 1;
       ++report.nodes_checked;
       const auto& n = tree.node(i);
-      const Node& pn = f.nodes[static_cast<std::size_t>(p)];
+      const auto& pn = f.nodes[static_cast<std::size_t>(p)];
       if (n.is_leaf()) {
         if (pn.right_off >= 0) {
           s.add("compact.leaf", ti, p,
@@ -571,8 +433,7 @@ void verify_compact(const trees::Forest<T>& forest,
           continue;
         }
         if (static_cast<std::int64_t>(pn.key) != n.prediction ||
-            exec::layout::node_feature(pn) != 0 ||
-            exec::layout::node_default_left(pn) ||
+            pn.feature != 0 || exec::layout::node_default_left(pn) ||
             exec::layout::node_categorical(pn)) {
           s.add("compact.leaf", ti, p,
                 "leaf key/feature/flags diverged from the source leaf");
@@ -584,8 +445,7 @@ void verify_compact(const trees::Forest<T>& forest,
               "source inner node packed with the leaf tag set");
         continue;
       }
-      const auto roff =
-          static_cast<std::int64_t>(exec::layout::node_right_off(pn));
+      const auto roff = static_cast<std::int64_t>(pn.right_off);
       const std::int64_t left = p + 1;
       const std::int64_t right = p + roff;
       if (roff <= 0 || left >= size || right >= size) {
@@ -594,7 +454,7 @@ void verify_compact(const trees::Forest<T>& forest,
                   ") leave the array of " + std::to_string(size) + " nodes");
         continue;
       }
-      if (exec::layout::node_feature(pn) != n.feature ||
+      if (pn.feature != n.feature ||
           exec::layout::node_default_left(pn) != n.default_left() ||
           exec::layout::node_categorical(pn) != n.is_categorical()) {
         s.add("compact.structure", ti, p,
@@ -945,22 +805,15 @@ Report verify_model(const model::ForestModel<T>& m) {
     verify_packed_nodes(forest, art.packed_engine(), report);
     report.artifacts_checked.push_back("packed");
 
-    verify_soa(forest, art.soa(), art.tables(), report);
-    report.artifacts_checked.push_back("soa");
-
     for (const std::size_t hot_depth : {std::size_t{0}, std::size_t{4}}) {
       std::string why;
       if (const auto* c16 = art.try_compact16_at(hot_depth, &why)) {
-        verify_compact(forest, *c16, art.tables(), report, "c16");
+        verify_compact(forest, *c16, art.tables(), report);
         if (hot_depth == 0 && c16->hot_nodes != 0) {
           report.add({"compact.hot", "c16", -1, -1,
                       "pure-DFS plan produced a hot slab"});
         }
         if (hot_depth == 0) report.artifacts_checked.push_back("c16");
-      }
-      if (const auto* c8 = art.try_compact8_at(hot_depth, &why)) {
-        verify_compact(forest, *c8, art.tables(), report, "c8");
-        if (hot_depth == 0) report.artifacts_checked.push_back("c8");
       }
       if (const auto* q4 = art.try_q4_at(hot_depth, &why)) {
         verify_q4(forest, *q4, art.tables(), report);

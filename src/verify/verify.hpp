@@ -3,8 +3,8 @@
 // satisfy the invariant catalog the execution engines rely on.
 //
 // The FLInt encoding is only sound if each packed form preserves it
-// exactly: XOR-masked integer thresholds must equal encode_threshold_le of
-// the source split, CompactNode8/16 relative offsets must respect the
+// exactly: encoded integer thresholds must equal encode_threshold_le of
+// the source split, CompactNode16 relative offsets must respect the
 // implicit-left rule with the sign-bit leaf tag, rank narrowing must be an
 // order isomorphism on the split set, categorical slots and NaN
 // default-direction flags must survive placement.  The engines *assume*
@@ -44,9 +44,7 @@
 //   packed.*              PackedNode image (Encoded engine) diverges from
 //                         the source forest (structure, threshold, leaf,
 //                         cat, orphan, root_range)
-//   soa.*                 SoaForest arrays diverge (shape, structure, leaf,
-//                         threshold, narrow_key, special)
-//   compact.*             CompactNode16/8 image diverges (roots, offset,
+//   compact.*             CompactNode16 image diverges (roots, offset,
 //                         structure, key, leaf, cat, orphan, hot)
 //   q4.*                  4-byte quantized image diverges (roots, geometry,
 //                         plan, offset, structure, key, leaf, cat, orphan,
@@ -72,8 +70,8 @@
 namespace flint::verify {
 
 /// One invariant violation.  `check` is a stable id from the catalog above;
-/// `artifact` names the packed form ("model", "tables", "packed", "soa",
-/// "c16", "c8", "q4", "file"); `tree`/`node` are indices when the violation is
+/// `artifact` names the packed form ("model", "tables", "packed", "c16",
+/// "q4", "file"); `tree`/`node` are indices when the violation is
 /// node-level (-1 otherwise; `node` indexes the artifact's own node array
 /// for packed forms, the source tree's for model-level checks).
 struct Diagnostic {
@@ -102,8 +100,8 @@ struct Report {
 };
 
 /// Verifies a ForestModel plus every packed artifact built from it
-/// (PackedNode image, SoaForest + narrow keys, CompactNode16/8 and the
-/// 4-byte quantized Q4Forest at hot_depth 0 and 4, rank tables).  Packed artifacts are only attempted
+/// (PackedNode image, CompactNode16 and the 4-byte quantized Q4Forest at
+/// hot_depth 0 and 4, rank tables).  Packed artifacts are only attempted
 /// when the model-level checks pass — their constructors assume a
 /// structurally valid forest.
 template <typename T>

@@ -65,7 +65,7 @@ TEST_F(CliWorkflow, GenTrainPredictInspectCodegen) {
   EXPECT_NE(train.out.find("trained 4 trees"), std::string::npos);
   EXPECT_TRUE(fs::exists(model_));
 
-  for (const char* engine : {"float", "flint", "theorem1", "theorem2", "radix"}) {
+  for (const char* engine : {"reference", "flint", "layout:c16", "layout:q4"}) {
     auto predict = run_cli({"predict", "--model", model_, "--data", csv_,
                             "--engine", engine});
     ASSERT_EQ(predict.code, 0) << engine << ": " << predict.err;
@@ -78,11 +78,11 @@ TEST_F(CliWorkflow, GenTrainPredictInspectCodegen) {
     const auto end = text.find(" over", pos);
     return text.substr(pos, end - pos);
   };
-  const auto acc_float =
-      run_cli({"predict", "--model", model_, "--data", csv_, "--engine", "float"});
+  const auto acc_reference = run_cli(
+      {"predict", "--model", model_, "--data", csv_, "--engine", "reference"});
   const auto acc_flint =
       run_cli({"predict", "--model", model_, "--data", csv_, "--engine", "flint"});
-  EXPECT_EQ(accuracy_token(acc_float.out), accuracy_token(acc_flint.out));
+  EXPECT_EQ(accuracy_token(acc_reference.out), accuracy_token(acc_flint.out));
 
   auto inspect = run_cli({"inspect", "--model", model_});
   ASSERT_EQ(inspect.code, 0);
@@ -111,8 +111,8 @@ TEST_F(CliWorkflow, GenTrainPredictInspectCodegen) {
 
 // Regression: predicting over an empty CSV (comment-only, so zero rows and
 // no learned column count) must report "n/a", not divide by zero or trip
-// the feature-width check; simd backends included in the engine sweep.
-TEST_F(CliWorkflow, PredictEmptyDatasetAndSimdEngines) {
+// the feature-width check; retired backend names exit 2 on both paths.
+TEST_F(CliWorkflow, PredictEmptyDatasetAndRetiredEngines) {
   ASSERT_EQ(run_cli({"gen", "--dataset", "wine", "--rows", "80", "--out", csv_})
                 .code, 0);
   ASSERT_EQ(run_cli({"train", "--data", csv_, "--trees", "2", "--depth", "3",
@@ -130,12 +130,15 @@ TEST_F(CliWorkflow, PredictEmptyDatasetAndSimdEngines) {
   auto bad = run_cli({"predict", "--model", model_, "--data", empty_csv,
                       "--engine", "warp"});
   EXPECT_EQ(bad.code, 2);
-  // The simd backends are reachable from the shell.
-  for (const char* engine : {"simd:flint", "simd:float"}) {
-    auto predict = run_cli({"predict", "--model", model_, "--data", csv_,
-                            "--engine", engine, "--threads", "2"});
-    ASSERT_EQ(predict.code, 0) << engine << ": " << predict.err;
-    EXPECT_NE(predict.out.find("accuracy"), std::string::npos);
+  for (const char* engine : {"simd:flint", "simd:float", "layout:c8", "float",
+                             "theorem1", "theorem2", "radix"}) {
+    for (const std::string& data : {empty_csv, csv_}) {
+      auto retired = run_cli({"predict", "--model", model_, "--data", data,
+                              "--engine", engine, "--threads", "2"});
+      EXPECT_EQ(retired.code, 2) << engine << " on " << data;
+      EXPECT_NE(retired.err.find("unknown backend"), std::string::npos)
+          << retired.err;
+    }
   }
 }
 

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <sstream>
+#include <string>
 #include <tuple>
 
 #include "data/split.hpp"
 #include "data/synth.hpp"
 #include "exec/interpreter.hpp"
+#include "predict/predictor.hpp"
 #include "trees/forest.hpp"
+#include "trees/serialize.hpp"
 
 namespace {
 
@@ -145,6 +149,37 @@ TEST(Engines, EmptyForestThrows) {
   EXPECT_THROW((FlintForestEngine<float>(empty, FlintVariant::Encoded)),
                std::invalid_argument);
   EXPECT_THROW((FloatForestEngine<float>(empty)), std::invalid_argument);
+}
+
+// The engines index vote rows by leaf class with no hot-path bounds check,
+// so a model whose header understates num_classes (constructible by hand
+// and reachable through read_forest) must be rejected when it is packed —
+// by the interpreters and by every layout packer the factory reaches —
+// instead of writing past the vote buffers.
+TEST(Engines, OutOfRangeLeafClassRejectedAtPackTime) {
+  flint::trees::Tree<float> tree(1);
+  const auto root = tree.add_split(0, 0.0f);
+  tree.link(root, tree.add_leaf(0), tree.add_leaf(5));
+  const flint::trees::Forest<float> lying({tree}, /*num_classes=*/2);
+  EXPECT_THROW(FlintForestEngine<float>(lying, FlintVariant::Encoded),
+               std::invalid_argument);
+  EXPECT_THROW(FloatForestEngine<float>{lying}, std::invalid_argument);
+  for (const char* backend : {"layout:c16", "layout:q4", "layout:auto"}) {
+    try {
+      (void)flint::predict::make_predictor(lying, backend);
+      ADD_FAILURE() << backend << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("leaf class 5"), std::string::npos)
+          << backend << ": " << e.what();
+    }
+  }
+  // And read_forest refuses such a model file outright, which also covers
+  // the jit backends (their generated code indexes the same vote array
+  // with no engine-side pack step).
+  std::stringstream buf;
+  flint::trees::write_forest(buf, lying);
+  EXPECT_THROW((void)flint::trees::read_forest<float>(buf),
+               std::runtime_error);
 }
 
 TEST(Engines, VariantNames) {

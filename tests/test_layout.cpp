@@ -2,9 +2,8 @@
 // threshold narrowing must be exact on adversarial bit patterns (signed
 // zeros, denormals, infinities, adjacent patterns), the compact node
 // engines must be bit-identical to Forest::predict at every width x
-// placement x traversal configuration, width fallback must engage when a
-// feature's thresholds cannot be ranked at the narrow width, and the
-// narrowed SoA keys must decide exactly like the unified SIMD compare.
+// placement x traversal configuration, and width fallback must engage when
+// a feature's thresholds cannot be ranked at the narrow width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,11 +19,11 @@
 
 #include "core/flint.hpp"
 #include "data/synth.hpp"
+#include "exec/artifacts/artifacts.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
-#include "exec/simd/soa.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
@@ -305,33 +304,29 @@ TEST_F(LayoutEngine, BitIdenticalAcrossWidthPlacementTraversal) {
   for (std::size_t s = 0; s < n; ++s) {
     expected[s] = forest_.predict({features.data() + s * cols, cols});
   }
-  for (const auto width : {layout::NodeWidth::C16, layout::NodeWidth::C8}) {
-    for (const std::size_t hot_depth : {std::size_t{0}, std::size_t{3}}) {
-      for (const std::size_t interleave : {std::size_t{1}, std::size_t{8}}) {
-        layout::LayoutPlan plan;
-        plan.width = width;
-        plan.hot_depth = hot_depth;
-        plan.interleave = interleave;
-        plan.block_size = 48;
-        plan.prefetch_opposite = hot_depth != 0;
-        const layout::LayoutForestEngine<float> engine(forest_, plan,
-                                                       tables_);
-        EXPECT_EQ(engine.node_bytes(),
-                  width == layout::NodeWidth::C16 ? 16u : 8u);
-        EXPECT_EQ(engine.hot_node_count() > 0, hot_depth > 0);
-        std::vector<std::int32_t> out(n, -1);
-        engine.predict_batch(features.data(), n, out.data());
-        ASSERT_EQ(out, expected) << plan.describe();
-        // Small batches route through the interleaved latency path; the
-        // head of the batch must agree with the blocked result.
-        std::vector<std::int32_t> small(3, -1);
-        engine.predict_batch(features.data(), 3, small.data());
-        for (std::size_t s = 0; s < 3; ++s) {
-          ASSERT_EQ(small[s], expected[s]) << plan.describe();
-        }
-        ASSERT_EQ(engine.predict({features.data(), cols}), expected[0])
-            << plan.describe();
+  for (const std::size_t hot_depth : {std::size_t{0}, std::size_t{3}}) {
+    for (const std::size_t interleave : {std::size_t{1}, std::size_t{8}}) {
+      layout::LayoutPlan plan;
+      plan.width = layout::NodeWidth::C16;
+      plan.hot_depth = hot_depth;
+      plan.interleave = interleave;
+      plan.block_size = 48;
+      plan.prefetch_opposite = hot_depth != 0;
+      const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
+      EXPECT_EQ(engine.node_bytes(), 16u);
+      EXPECT_EQ(engine.hot_node_count() > 0, hot_depth > 0);
+      std::vector<std::int32_t> out(n, -1);
+      engine.predict_batch(features.data(), n, out.data());
+      ASSERT_EQ(out, expected) << plan.describe();
+      // Small batches route through the interleaved latency path; the
+      // head of the batch must agree with the blocked result.
+      std::vector<std::int32_t> small(3, -1);
+      engine.predict_batch(features.data(), 3, small.data());
+      for (std::size_t s = 0; s < 3; ++s) {
+        ASSERT_EQ(small[s], expected[s]) << plan.describe();
       }
+      ASSERT_EQ(engine.predict({features.data(), cols}), expected[0])
+          << plan.describe();
     }
   }
 }
@@ -347,16 +342,14 @@ TEST_F(LayoutEngine, ScalarLockstepPathMatchesVectorPath) {
     expected[s] = forest_.predict({features.data() + s * cols, cols});
   }
   setenv("FLINT_LAYOUT_FORCE_SCALAR", "1", 1);
-  for (const auto width : {layout::NodeWidth::C16, layout::NodeWidth::C8}) {
-    layout::LayoutPlan plan;
-    plan.width = width;
-    plan.block_size = 32;
-    plan.prefetch_opposite = true;
-    const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
-    std::vector<std::int32_t> out(n, -1);
-    engine.predict_batch(features.data(), n, out.data());
-    EXPECT_EQ(out, expected) << plan.describe();
-  }
+  layout::LayoutPlan plan;
+  plan.width = layout::NodeWidth::C16;
+  plan.block_size = 32;
+  plan.prefetch_opposite = true;
+  const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
+  std::vector<std::int32_t> out(n, -1);
+  engine.predict_batch(features.data(), n, out.data());
+  EXPECT_EQ(out, expected) << plan.describe();
   unsetenv("FLINT_LAYOUT_FORCE_SCALAR");
 }
 
@@ -400,8 +393,8 @@ TEST_F(LayoutEngine, PackedInvariants) {
 // Width fallback when thresholds cannot be ranked narrow.
 // ---------------------------------------------------------------------------
 
-/// One tree with > 32767 distinct thresholds on feature 0 (a right-leaning
-/// chain), so int16 ranks cannot represent the table.
+/// One tree with `splits` distinct thresholds on feature 0 (a right-leaning
+/// chain).
 flint::trees::Forest<float> wide_threshold_forest(std::int32_t splits) {
   flint::trees::Tree<float> tree(1);
   std::int32_t prev = -1;
@@ -420,24 +413,27 @@ flint::trees::Forest<float> wide_threshold_forest(std::int32_t splits) {
       std::vector<flint::trees::Tree<float>>{std::move(tree)}, 2);
 }
 
-TEST(LayoutFallback, NarrowWidthRejectedWideWidthServes) {
-  const auto forest = wide_threshold_forest(33000);
-  const auto tables = layout::build_key_tables(forest);
-  EXPECT_FALSE(tables.fits_int16());
-  layout::NarrowFit fit;
-  fit.ranks_fit_int16 = tables.fits_int16();
-  fit.feature_count = forest.feature_count();
-  fit.num_classes = forest.num_classes();
-  EXPECT_FALSE(layout::width_fits(layout::NodeWidth::C8, fit));
-  EXPECT_FALSE(layout::width_unfit_reason(layout::NodeWidth::C8, fit).empty());
-  EXPECT_TRUE(layout::width_fits(layout::NodeWidth::C16, fit));
-
-  // Pinning c8 must throw; auto must still serve, bit-identically.
-  EXPECT_THROW((void)flint::predict::make_predictor(forest, "layout:c8"),
-               std::invalid_argument);
+// A cache-hostile model whose q4 image fails the quantization contract is
+// demoted to the exact 16-byte width, and serves bit-identically there.
+TEST(LayoutFallback, DemotedQ4FallsToExactC16) {
+  const auto forest = wide_threshold_forest(70000);
+  const std::vector<float> xs = {-1.0f,    0.5f,     123.5f,
+                                 5000.25f, 69999.5f, 80000.0f};
+  // A 32 KiB L2 makes the ~2 MiB c16 image spill 2x, so auto tries q4
+  // first; 70000 ranks overflow its 16 key bits, the affine fallback
+  // merges thresholds, and the bundle demotes the plan.
+  flint::exec::artifacts::ExecArtifacts<float> art(
+      forest, 64, layout::CacheInfo{32u << 10, 512u << 10});
+  const auto* q4 = art.try_q4_at(art.plan().hot_depth);
+  EXPECT_TRUE(q4 == nullptr ||
+              !(q4->exact() || q4->qplan.accuracy_contract()));
+  EXPECT_EQ(art.plan().width, layout::NodeWidth::C16);
+  EXPECT_TRUE(art.plan().prefetch_opposite);
+  const layout::LayoutForestEngine<float> engine(forest, art.plan(),
+                                                 art.tables());
   const auto predictor = flint::predict::make_predictor(forest, "layout:auto");
-  std::vector<float> xs = {-1.0f, 0.5f, 123.5f, 5000.25f, 32999.5f, 40000.0f};
   for (const float x : xs) {
+    EXPECT_EQ(engine.predict({&x, 1}), forest.predict({&x, 1})) << "x=" << x;
     EXPECT_EQ(predictor->predict_one({&x, 1}), forest.predict({&x, 1}))
         << "x=" << x;
   }
@@ -452,7 +448,7 @@ TEST(AutoPlan, SmallModelStaysWideCachedAndUnslabbed) {
   stats.trees.resize(10);
   stats.total_nodes = 1000;  // 16 KiB at c16: fits any L2
   stats.max_depth = 8;
-  layout::NarrowFit fit{true, 10, 4};
+  layout::NarrowFit fit{10, 4};
   const layout::CacheInfo cache{256 * 1024, 8 * 1024 * 1024};
   const auto plan = layout::auto_plan(stats, fit, 64, cache);
   EXPECT_EQ(plan.width, layout::NodeWidth::C16);
@@ -470,9 +466,8 @@ TEST(AutoPlan, DeepModelNarrowsBlocksAndPrefetches) {
   // is well amortized by 256 trees x 14 levels of traversal.
   stats.features.resize(10);
   for (auto& f : stats.features) f.splits = 200000;
-  layout::NarrowFit fit{true, 10, 4};
+  layout::NarrowFit fit{10, 4};
   const layout::CacheInfo cache{256 * 1024, 8 * 1024 * 1024};
-  // The 4-byte ladder rung wins whenever c8 would have been worth it.
   const auto plan = layout::auto_plan(stats, fit, 64, cache);
   EXPECT_EQ(plan.width, layout::NodeWidth::Q4);
   EXPECT_GT(plan.hot_depth, 0u);
@@ -480,19 +475,19 @@ TEST(AutoPlan, DeepModelNarrowsBlocksAndPrefetches) {
   EXPECT_GE(plan.interleave, 4u);
   EXPECT_LE(plan.interleave, layout::kMaxInterleave);
   // Demotion protocol: when the Q4 pack or its accuracy contract fails the
-  // caller clears allow_q4 and re-plans; the ladder must then land on c8
-  // with the same placement shape.
+  // caller clears allow_q4 and re-plans; the plan must then land on c16,
+  // still slabbed and prefetching.
   fit.allow_q4 = false;
   const auto demoted = layout::auto_plan(stats, fit, 64, cache);
-  EXPECT_EQ(demoted.width, layout::NodeWidth::C8);
+  EXPECT_EQ(demoted.width, layout::NodeWidth::C16);
   EXPECT_GT(demoted.hot_depth, 0u);
   EXPECT_TRUE(demoted.prefetch_opposite);
 }
 
 // Regression: the smoke model (~360 KiB at c16) sits inside L2 x 2, where
-// narrowing buys no bandwidth but still pays the per-block rank remap — the
-// auto plan once picked c8 here and lost ~3.5x throughput.  Cache-resident
-// models must stay c16, with the q4 rung equally locked out.
+// narrowing buys no bandwidth but still pays the rank remap — the auto plan
+// once narrowed here and lost ~3.5x throughput.  Cache-resident models must
+// stay c16.
 TEST(AutoPlan, CacheResidentModelNeverNarrows) {
   flint::trees::ForestStats stats;
   stats.trees.resize(24);
@@ -501,7 +496,7 @@ TEST(AutoPlan, CacheResidentModelNeverNarrows) {
   stats.mean_leaf_depth = 8.0;
   stats.features.resize(10);
   for (auto& f : stats.features) f.splits = 1000;
-  layout::NarrowFit fit{true, 10, 2};
+  layout::NarrowFit fit{10, 2};
   const layout::CacheInfo cache{256 * 1024, 8 * 1024 * 1024};
   const auto plan = layout::auto_plan(stats, fit, 64, cache);
   EXPECT_EQ(plan.width, layout::NodeWidth::C16);
@@ -513,7 +508,6 @@ TEST(AutoPlan, UnnarrowableModelFallsBackToWide) {
   stats.total_nodes = 4 * 1000 * 1000;
   stats.max_depth = 20;
   layout::NarrowFit fit;
-  fit.ranks_fit_int16 = false;
   fit.feature_count = std::size_t{1} << 33;  // no int32 feature field either
   fit.num_classes = 2;
   const layout::CacheInfo cache{256 * 1024, 8 * 1024 * 1024};
@@ -617,36 +611,6 @@ TEST(CacheProbe, DetectNeverReturnsZeroSizes) {
   EXPECT_GE(info.llc_bytes, info.l2_bytes);
 }
 
-// ---------------------------------------------------------------------------
-// Narrowed SoA keys decide exactly like the unified SIMD compare.
-// ---------------------------------------------------------------------------
-
-TEST_F(LayoutEngine, SoaNarrowKeysMatchUnifiedCompare) {
-  flint::exec::simd::SoaForest<float> soa(forest_);
-  EXPECT_TRUE(soa.narrow_key.empty());
-  soa.build_narrow_keys(tables_);
-  ASSERT_EQ(soa.narrow_key.size(), soa.node_count());
-
-  const auto features = adversarial_features(64, 17);
-  for (std::size_t n = 0; n < soa.node_count(); ++n) {
-    if (soa.feature[n] < 0) {
-      // Leaves mirror the class id.
-      EXPECT_EQ(soa.narrow_key[n],
-                static_cast<std::int32_t>(soa.threshold[n]));
-      continue;
-    }
-    const auto& table =
-        tables_.features[static_cast<std::size_t>(soa.feature[n])];
-    for (const float x : features) {
-      const auto xi = flint::core::si_bits(x);
-      const bool unified = (xi ^ soa.xor_mask[n]) <= soa.threshold[n];
-      const bool narrow = table.rank(x) <= soa.narrow_key[n];
-      ASSERT_EQ(unified, narrow)
-          << "node " << n << " x=" << x << " split=" << soa.split[n];
-    }
-  }
-}
-
 TEST(LayoutDouble, DoubleWidthEnginesMatchForestPredict) {
   const auto data =
       flint::data::generate<double>(flint::data::wine_spec(), 3, 700);
@@ -655,7 +619,7 @@ TEST(LayoutDouble, DoubleWidthEnginesMatchForestPredict) {
   opt.tree.max_depth = 8;
   const auto forest = flint::trees::train_forest(data, opt);
   for (const char* backend :
-       {"layout:auto", "layout:c16", "layout:c8", "layout:q4"}) {
+       {"layout:auto", "layout:c16", "layout:q4"}) {
     const auto predictor = flint::predict::make_predictor(forest, backend);
     std::vector<std::int32_t> out(data.rows());
     predictor->predict_batch(data, out);

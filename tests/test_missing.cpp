@@ -2,8 +2,10 @@
 // categorical splits: seeded random (forest, input) pairs — NaN bit
 // patterns, signed zeros, denormals, infinities, exact split hits,
 // categorical member/non-member/out-of-range values — must classify
-// bit-identically on EVERY backend (interpreters, simd:*, layout:*),
-// through predict_one, and under a ParallelPredictor, where "identical"
+// bit-identically on EVERY backend (reference, encoded, layout:*), on the
+// paper's interpreter engines driven directly (FloatForestEngine and all
+// four FlintForestEngine variants), through predict_one, and under a
+// ParallelPredictor, where "identical"
 // means equal to a naive double-precision IEEE oracle written here from
 // the trees/tree.hpp missing contract alone (no FLInt integer form, no
 // Tree::leaf_for).  Score-model backends face the same oracle with
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "core/flint.hpp"
+#include "exec/interpreter.hpp"
 #include "model/forest_model.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
@@ -264,7 +267,6 @@ std::vector<float> adversarial_inputs(const Forest<float>& forest,
 
 std::vector<std::string> vote_backends() {
   std::vector<std::string> names = flint::predict::interpreter_backends();
-  for (const auto& n : flint::predict::simd_backends()) names.push_back(n);
   for (const auto& n : flint::predict::layout_backends()) names.push_back(n);
   return names;
 }
@@ -327,6 +329,27 @@ TEST(MissingFuzz, EveryBackendMatchesNaiveIeeeOracle) {
         ASSERT_EQ(predictor->predict_one({features.data() + s * cols, cols}),
                   expected[s])
             << backend << " predict_one, forest " << f << " sample " << s;
+      }
+    }
+
+    // The paper's formulations are not factory backends; drive the engines
+    // themselves against the same oracle.
+    const flint::exec::FloatForestEngine<float> float_engine(forest);
+    for (std::size_t s = 0; s < samples_per_forest; ++s) {
+      ASSERT_EQ(float_engine.predict({features.data() + s * cols, cols}),
+                expected[s])
+          << "float engine, forest " << f << " sample " << s;
+    }
+    for (const auto variant :
+         {flint::exec::FlintVariant::Encoded, flint::exec::FlintVariant::Theorem1,
+          flint::exec::FlintVariant::Theorem2,
+          flint::exec::FlintVariant::RadixKey}) {
+      const flint::exec::FlintForestEngine<float> engine(forest, variant);
+      for (std::size_t s = 0; s < samples_per_forest; ++s) {
+        ASSERT_EQ(engine.predict({features.data() + s * cols, cols}),
+                  expected[s])
+            << flint::exec::to_string(variant) << " engine, forest " << f
+            << " sample " << s;
       }
     }
 
@@ -563,7 +586,7 @@ TEST(MissingGate, FlaglessMissingModelsSubstituteNaNAtTheBoundary) {
   model.forest = flagless_stump();
   model.leaf_kind = LeafKind::ClassId;
   model.handles_missing = true;
-  for (const char* backend : {"encoded", "simd:flint", "layout:auto"}) {
+  for (const char* backend : {"encoded", "layout:q4", "layout:auto"}) {
     const auto predictor = make_predictor(model, backend);
     EXPECT_TRUE(predictor->missing_policy().allow_nan) << backend;
     EXPECT_TRUE(predictor->missing_policy().substitute_nan) << backend;

@@ -2,7 +2,7 @@
 // trip, the external-model loaders (XGBoost JSON / LightGBM text / sklearn
 // JSON) with their bit-exact threshold transforms, the vendored fixture
 // gates (convert + reload + reproduce committed reference predictions
-// through reference, simd:flint and layout:auto), predict_scores
+// through reference, encoded and layout:auto), predict_scores
 // property tests against explicit per-tree accumulation across every
 // score backend, and the make_predictor contract pinned for every backend
 // name.
@@ -662,8 +662,7 @@ TEST_P(FixtureGate, ConvertReloadAndMatchReference) {
     ASSERT_EQ(expected_classes.size(), n);
   }
 
-  for (const char* backend : {"reference", "encoded", "simd:flint",
-                              "layout:auto"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto"}) {
     const auto predictor = predict::make_predictor(back, backend);
     std::vector<float> scores(n * k);
     predictor->predict_scores(features, n, scores);
@@ -707,10 +706,8 @@ TEST(PredictScores, AllBackendsMatchPerTreeAccumulation) {
     const std::size_t n = 64;
     const auto rows = sample_rows(m, n);
     const auto expected = manual_scores(m, rows, n);
-    for (const char* backend :
-         {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-          "simd:flint", "simd:float", "layout:auto", "layout:c16",
-          "layout:c8", "layout:q4", "jit:layout"}) {
+    for (const char* backend : {"reference", "encoded", "layout:auto",
+                                "layout:c16", "layout:q4", "jit:layout"}) {
       const auto predictor = predict::make_predictor(m, backend);
       ASSERT_TRUE(predictor->supports_scores()) << backend;
       EXPECT_EQ(predictor->num_outputs(), k) << backend;
@@ -741,8 +738,7 @@ TEST(PredictScores, ClassesAgreeWithScoreReduction) {
   const std::size_t n = 64;
   const auto rows = sample_rows(m, n);
   const auto scores = manual_scores(m, rows, n);
-  for (const char* backend : {"reference", "encoded", "simd:flint",
-                              "layout:auto"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto"}) {
     const auto predictor = predict::make_predictor(m, backend);
     std::vector<std::int32_t> classes(n);
     predictor->predict_batch(rows, n, classes);
@@ -824,17 +820,10 @@ TEST(PredictScores, NaNAndShapeGatesApply) {
 /// trees, so the plans agree across models.
 const std::pair<const char*, const char*> kContractNames[] = {
     {"reference", "reference"},
-    {"float", "float"},
     {"encoded", "encoded"},
-    {"theorem1", "theorem1"},
-    {"theorem2", "theorem2"},
-    {"radix", "radix"},
     {"flint", "encoded"},
-    {"simd:flint", "simd:flint"},
-    {"simd:float", "simd:float"},
     {"layout:auto", "layout:c16/dfs/il4"},
     {"layout:c16", "layout:c16/dfs/il4"},
-    {"layout:c8", "layout:c8/dfs/il4"},
     {"layout:q4", "layout:q4/dfs/il4"},
     {"quant:affine", "quant:affine(q4/dfs/il4)"},
     {"jit:layout", "jit:layout"},
@@ -923,9 +912,9 @@ TEST(FactoryContract, EveryBackendNameShapePolicyAndOutput) {
   // The table covers the whole vocabulary.
   std::vector<std::string> vocabulary = predict::interpreter_backends();
   vocabulary.emplace_back("flint");
-  for (const auto& list :
-       {predict::simd_backends(), predict::layout_backends(),
-        predict::quant_backends(), predict::jit_backends()}) {
+  for (const auto& list : {predict::layout_backends(),
+                           predict::quant_backends(),
+                           predict::jit_backends()}) {
     vocabulary.insert(vocabulary.end(), list.begin(), list.end());
   }
   ASSERT_EQ(vocabulary.size(), std::size(kContractNames));

@@ -128,18 +128,12 @@ TEST_P(BackendEquivalence, BatchMatchesForestPredictOnAdversarialInputs) {
 
 INSTANTIATE_TEST_SUITE_P(
     InterpreterBackends, BackendEquivalence,
-    ::testing::Values("reference", "float", "flint", "encoded", "theorem1",
-                      "theorem2", "radix"),
+    ::testing::Values("reference", "flint", "encoded"),
     [](const auto& info) { return info.param; });
 
 INSTANTIATE_TEST_SUITE_P(
-    SimdBackends, BackendEquivalence,
-    ::testing::Values("simd:flint", "simd:float"),
-    [](const auto& info) { return info.param.substr(5); });
-
-INSTANTIATE_TEST_SUITE_P(
     LayoutBackends, BackendEquivalence,
-    ::testing::Values("layout:auto", "layout:c16", "layout:c8", "layout:q4"),
+    ::testing::Values("layout:auto", "layout:c16", "layout:q4"),
     [](const auto& info) { return info.param.substr(7); });
 
 INSTANTIATE_TEST_SUITE_P(
@@ -162,8 +156,7 @@ TEST_F(TrainedForest, BlockSizeDoesNotChangeResults) {
     PredictorOptions opt;
     opt.block_size = block;
     for (const char* backend :
-         {"float", "encoded", "radix", "simd:flint", "simd:float",
-          "layout:auto", "layout:c16", "layout:c8", "layout:q4"}) {
+         {"encoded", "layout:auto", "layout:c16", "layout:q4"}) {
       const auto predictor = make_predictor(forest_, backend, opt);
       std::vector<std::int32_t> out(n);
       predictor->predict_batch(features, n, out);
@@ -177,7 +170,7 @@ TEST_F(TrainedForest, ParallelPredictorInvariantUnderThreadCount) {
   const auto features = adversarial_features(forest_, n, 13);
   const auto expected = reference(features);
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const char* backend : {"encoded", "float"}) {
+    for (const char* backend : {"encoded", "layout:c16"}) {
       // Small parallel block size so every worker count actually splits the
       // batch into many chunks.
       ParallelPredictor<float> parallel(make_predictor(forest_, backend),
@@ -212,8 +205,7 @@ TEST_F(TrainedForest, ParallelViaFactoryAndRepeatedBatches) {
 // backend shape — no division by zero in the blocked loops, no empty block
 // dispatched to pool workers, and the output span untouched.
 TEST_F(TrainedForest, EmptyBatchIsNoOp) {
-  for (const char* backend :
-       {"reference", "encoded", "simd:flint", "layout:auto"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto"}) {
     PredictorOptions opt;
     const auto predictor = make_predictor(forest_, backend, opt);
     std::vector<float> no_features;
@@ -240,7 +232,7 @@ TEST_F(TrainedForest, EmptyBatchIsNoOp) {
 TEST_F(TrainedForest, NanFeaturesAreRejected) {
   const std::size_t cols = forest_.feature_count();
   for (const char* backend :
-       {"reference", "encoded", "simd:flint", "layout:auto", "layout:q4"}) {
+       {"reference", "encoded", "layout:auto", "layout:q4"}) {
     const auto predictor = make_predictor(forest_, backend);
     std::vector<float> features(cols * 3, 1.0f);
     features[cols + 1] = std::numeric_limits<float>::quiet_NaN();
@@ -332,7 +324,7 @@ TEST_F(TrainedForest, UnknownBackendThrowsWithVocabulary) {
   } catch (const std::invalid_argument& e) {
     const std::string message = e.what();
     EXPECT_NE(message.find("warp"), std::string::npos);
-    EXPECT_NE(message.find("theorem1"), std::string::npos) << message;
+    EXPECT_NE(message.find("quant:affine"), std::string::npos) << message;
   }
   // Retired flavors are unknown names; the error steers to jit:layout.
   try {
@@ -368,16 +360,14 @@ TEST_F(TrainedForest, UnknownBackendSuggestsNearestName) {
 // ---------------------------------------------------------------------------
 // Degenerate ensembles: single-node (leaf-only root) trees, single-tree
 // forests, and a forest whose every tree predicts the same class, checked
-// bit-identical to Forest::predict across the interpreter, SoA SIMD and
+// bit-identical to Forest::predict across the interpreter and
 // compact-layout backend families.
 // ---------------------------------------------------------------------------
 
 /// Backends every degenerate shape must survive (jit:* is out of scope for
 /// this satellite; the codegen suites cover it on regular shapes).
-const char* const kDegenerateBackends[] = {"encoded",    "simd:flint",
-                                           "simd:float", "layout:auto",
-                                           "layout:c16", "layout:c8",
-                                           "layout:q4"};
+const char* const kDegenerateBackends[] = {"encoded", "layout:auto",
+                                           "layout:c16", "layout:q4"};
 
 void expect_backends_match(const flint::trees::Forest<float>& forest,
                            std::size_t n_samples, std::uint64_t seed) {
@@ -471,10 +461,8 @@ TEST(PredictorDouble, DoubleWidthBackendsMatchForestPredict) {
   opt.n_trees = 4;
   opt.tree.max_depth = 8;
   const auto forest = flint::trees::train_forest(full, opt);
-  for (const char* backend :
-       {"reference", "float", "encoded", "theorem1", "theorem2", "radix",
-        "simd:flint", "simd:float", "layout:auto", "layout:c16", "layout:c8",
-        "layout:q4", "jit:layout"}) {
+  for (const char* backend : {"reference", "encoded", "layout:auto",
+                              "layout:c16", "layout:q4", "jit:layout"}) {
     const auto predictor = make_predictor(forest, backend);
     std::vector<std::int32_t> out(full.rows());
     predictor->predict_batch(full, out);
@@ -553,37 +541,41 @@ TEST(AvailableParallelism, PositiveAndCappedByHardware) {
   EXPECT_LE(n, std::max(1u, std::thread::hardware_concurrency()));
 }
 
-TEST(PredictorNames, BackendListsAreConsistent) {
-  const auto interp = flint::predict::interpreter_backends();
-  EXPECT_EQ(interp.size(), 6u);
-  const auto simd = flint::predict::simd_backends();
-  EXPECT_EQ(simd.size(), 2u);
-  const auto layout = flint::predict::layout_backends();
-  EXPECT_EQ(layout.size(), 4u);
-  const auto quant = flint::predict::quant_backends();
-  EXPECT_EQ(quant.size(), 1u);
-  EXPECT_EQ(quant.front(), "quant:affine");
-  const auto jit = flint::predict::jit_backends();
-  EXPECT_EQ(jit.size(), 1u);
-  EXPECT_EQ(jit.front(), "jit:layout");
+TEST(PredictorNames, VocabularyIsSevenNamesPlusTheFlintAlias) {
+  std::vector<std::string> names;
+  for (const auto& list : {flint::predict::interpreter_backends(),
+                           flint::predict::layout_backends(),
+                           flint::predict::quant_backends(),
+                           flint::predict::jit_backends()}) {
+    names.insert(names.end(), list.begin(), list.end());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "reference", "encoded", "layout:auto", "layout:c16",
+                       "layout:q4", "quant:affine", "jit:layout"}));
   const auto help = flint::predict::backend_help();
-  for (const auto& name : interp) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-  }
-  for (const auto& name : simd) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-  }
-  for (const auto& name : layout) {
+  names.emplace_back("flint");
+  for (const auto& name : names) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
     EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
   }
-  for (const auto& name : jit) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-    EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
-  }
-  for (const auto& name : quant) {
-    EXPECT_NE(help.find(name), std::string::npos) << name;
-    EXPECT_TRUE(flint::predict::is_known_backend(name)) << name;
+  // Retired names are unknown: the factory rejects them like any typo.
+  const flint::trees::Forest<float> forest = [] {
+    flint::trees::Tree<float> tree(1);
+    const auto root = tree.add_split(0, 0.5f);
+    tree.link(root, tree.add_leaf(0), tree.add_leaf(1));
+    return flint::trees::Forest<float>({tree}, 2);
+  }();
+  for (const char* retired : {"simd:flint", "simd:float", "layout:c8",
+                              "float", "theorem1", "theorem2", "radix"}) {
+    EXPECT_FALSE(flint::predict::is_known_backend(retired)) << retired;
+    try {
+      (void)make_predictor(forest, retired);
+      ADD_FAILURE() << retired << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown backend"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

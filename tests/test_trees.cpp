@@ -4,6 +4,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -433,9 +434,45 @@ TEST(Serialize, TrainedForestsRoundTripByteForByte) {
                                         categorical_tree(plain.feature_count())};
   const Forest<float> with_cats(cat_trees, plain.num_classes());
 
-  for (const Forest<float>* forest : {&plain, &flagged, &with_cats}) {
+  // One stump per adversarial threshold (x <= split -> class 1): signed
+  // zeros, denormals, infinities and the finite extremes.
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::min(),
+                            -std::numeric_limits<float>::min(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::max(),
+                            std::numeric_limits<float>::lowest(),
+                            1.5f,
+                            -1.5f};
+  std::vector<Tree<float>> stumps;
+  for (const float split : specials) {
+    Tree<float> stump(1);
+    const auto root = stump.add_split(0, split);
+    stump.link(root, stump.add_leaf(1), stump.add_leaf(0));
+    stumps.push_back(std::move(stump));
+  }
+  const Forest<float> adversarial(std::move(stumps), 2);
+
+  for (const Forest<float>* forest :
+       {&plain, &flagged, &with_cats, &adversarial}) {
     const std::string once = forest_text(*forest);
     EXPECT_EQ(forest_text(parse_forest_text(once)), once);
+  }
+  // The hex bit patterns reproduce every special split exactly, so the
+  // reloaded forest decides every special input as the original does.
+  const auto reloaded = parse_forest_text(forest_text(adversarial));
+  for (std::size_t t = 0; t < adversarial.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(reloaded.tree(t).node(0).split),
+              std::bit_cast<std::uint32_t>(adversarial.tree(t).node(0).split))
+        << "split " << specials[t];
+  }
+  for (const float x : specials) {
+    EXPECT_EQ(reloaded.predict({&x, 1}), adversarial.predict({&x, 1}))
+        << "x=" << x;
   }
   EXPECT_NE(forest_text(flagged).find(" 1 -1\n"), std::string::npos);
   EXPECT_NE(forest_text(with_cats).find("cats 2\nc 2 5 f0000001\nc 1 1\n"),

@@ -119,13 +119,15 @@ TEST(VerifyClean, HandBuiltModelPasses) {
   const auto report = verify::verify_model(m);
   EXPECT_TRUE(report.ok()) << checks_of(report);
   // A pass must be auditable: every artifact family was actually built.
-  EXPECT_GE(report.artifacts_checked.size(), 4u);
+  EXPECT_EQ(report.artifacts_checked,
+            (std::vector<std::string>{"model", "tables", "packed", "c16",
+                                      "q4"}));
   EXPECT_GT(report.nodes_checked, 0u);
 }
 
 TEST(VerifyClean, InfiniteSplitsAreOrderedAndAccepted) {
   // +-inf thresholds are legitimate (always-taken splits; the adversarial
-  // round-trip in test_simd.cpp serializes them bit-exactly) — only NaN has
+  // round-trip in test_trees.cpp serializes them bit-exactly) — only NaN has
   // no integer rank.  The verifier must not reject what the engines handle.
   for (const float inf : {std::numeric_limits<float>::infinity(),
                           -std::numeric_limits<float>::infinity()}) {

@@ -78,7 +78,7 @@ for model in xgb_binary.json xgb_missing.json lgbm_regression.txt \
     if [ -f "$fixtures/${stem}_expected_classes.txt" ]; then
         "$bin" predict --model "$work/$stem.v2" \
             --data "$fixtures/${stem}_input.csv" --labels yes \
-            --engine simd:flint \
+            --engine layout:c16 \
             | sed '$d' > "$work/$stem.classes"
         if ! diff -u "$fixtures/${stem}_expected_classes.txt" \
              "$work/$stem.classes" > /dev/null; then
