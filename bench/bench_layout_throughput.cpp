@@ -203,8 +203,11 @@ int main(int argc, char** argv) {
   double layout_auto_rate = 0.0;
   double jit_layout_rate = 0.0;
   double layout_q4_rate = 0.0;
-  for (const std::size_t batch :
-       {std::size_t{256}, std::size_t{4096}, data.rows()}) {
+  // 16 and 64 are coalesced serve batches: above the latency path, within
+  // one AVX2 tile group (16) and just past it (64).
+  for (const std::size_t batch : {std::size_t{16}, std::size_t{64},
+                                  std::size_t{256}, std::size_t{4096},
+                                  data.rows()}) {
     if (batch > data.rows()) continue;
     std::printf("%-8zu", batch);
     for (std::size_t i = 0; i < backends.size(); ++i) {

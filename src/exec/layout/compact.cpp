@@ -4,9 +4,11 @@
 #include <cstdlib>
 #include <deque>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "exec/layout/kernels.hpp"
+#include "exec/layout/vote.hpp"
 #include "exec/pack_checks.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -24,14 +26,6 @@ namespace {
 template <typename T>
 T normalize_zero(T split) {
   return split == T{0} ? T{0} : split;
-}
-
-std::int32_t argmax_first(const int* votes, int num_classes) {
-  std::int32_t best = 0;
-  for (int c = 1; c < num_classes; ++c) {
-    if (votes[c] > votes[best]) best = c;
-  }
-  return best;
 }
 
 }  // namespace
@@ -286,24 +280,81 @@ namespace {
 /// out-of-order window, each step one compact node load.
 constexpr std::size_t kBlockLockstep = 16;
 
-/// Blocked remap + lockstep traversal shared by the vote and score
-/// epilogues: remap a block of samples to narrow keys once, then stream
-/// each tree's node array across the whole block, kBlockLockstep samples
-/// in flight at a time.  `block_begin(base, block)` / `block_end(base,
-/// block)` bracket each block; `on_leaf(global_sample, local_sample,
-/// leaf_key)` fires once per (tree, sample) with the converged leaf's key
-/// payload.
+/// Lockstep walk of trees [t0, t1) over `n` lanes of a remapped block,
+/// kBlockLockstep lanes in flight at a time; lane l reads its keys (and
+/// Special masks) at block row rows[l].  `on_leaf(lane, leaf_key)` fires
+/// once per (tree, lane) with the converged leaf's key payload.
 template <bool Prefetch, bool Special, typename T, typename Node,
-          typename BlockBegin, typename OnLeaf, typename BlockEnd>
-void blocked_traverse(const CompactForest<T, Node>& f, std::size_t block_size,
-                      const T* features, std::size_t n_samples,
-                      BlockBegin&& block_begin, OnLeaf&& on_leaf,
-                      BlockEnd&& block_end) {
+          typename OnLeaf>
+void lockstep_walk(const CompactForest<T, Node>& f, std::size_t t0,
+                   std::size_t t1, const std::int32_t* rows, std::size_t n,
+                   const typename CompactForest<T, Node>::Key* keys,
+                   const std::uint8_t* nan_mask, const std::uint8_t* member,
+                   OnLeaf&& on_leaf) {
   using Key = typename CompactForest<T, Node>::Key;
   const std::size_t cols = f.feature_count;
-  const std::size_t trees = f.roots.size();
   const std::size_t n_slots = f.cat_slot_count();
   const Node* nodes = f.nodes.data();
+  for (std::size_t t = t0; t < t1; ++t) {
+    const std::int32_t root = f.roots[t];
+    for (std::size_t s0 = 0; s0 < n; s0 += kBlockLockstep) {
+      const std::size_t g = std::min(kBlockLockstep, n - s0);
+      const Key* krow[kBlockLockstep];
+      std::size_t row[kBlockLockstep];
+      std::int32_t cur[kBlockLockstep];
+      for (std::size_t r = 0; r < g; ++r) {
+        row[r] = static_cast<std::size_t>(rows[s0 + r]);
+        cur[r] = root;
+        krow[r] = keys + row[r] * cols;
+      }
+      // Branch-free lockstep rounds: finished lanes step by 0 on their
+      // leaf (leaves read key column 0, a valid index by construction)
+      // until the whole group converges — no per-lane liveness branches
+      // for the predictor to miss.
+      bool any_inner = true;
+      while (any_inner) {
+        any_inner = false;
+        for (std::size_t r = 0; r < g; ++r) {
+          const Node& nd = nodes[cur[r]];
+          const std::int32_t off = nd.right_off;
+          const bool leaf = off < 0;
+          bool go;
+          if constexpr (Special) {
+            const auto fi = static_cast<std::size_t>(nd.feature);
+            if (nan_mask[row[r] * cols + fi]) {
+              go = node_default_left(nd);
+            } else if (node_categorical(nd)) {
+              go = member[row[r] * n_slots +
+                          static_cast<std::size_t>(nd.key)] != 0;
+            } else {
+              go = krow[r][fi] <= nd.key;
+            }
+          } else {
+            go = krow[r][static_cast<std::size_t>(nd.feature)] <= nd.key;
+          }
+          if constexpr (Prefetch) {
+            FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : off)]);
+          }
+          cur[r] += leaf ? 0 : (go ? 1 : off);
+          any_inner |= !leaf;
+        }
+      }
+      for (std::size_t r = 0; r < g; ++r) {
+        on_leaf(s0 + r, static_cast<std::int32_t>(nodes[cur[r]].key));
+      }
+    }
+  }
+}
+
+/// Blocked batch loop shared by the vote and score epilogues: remap each
+/// block of samples to narrow keys (and Special masks) once, then hand it
+/// to `body(base, block, keys, nan_mask, member)` to walk.
+template <bool Special, typename T, typename Node, typename Body>
+void for_each_block(const CompactForest<T, Node>& f, std::size_t block_size,
+                    const T* features, std::size_t n_samples, Body&& body) {
+  using Key = typename CompactForest<T, Node>::Key;
+  const std::size_t cols = f.feature_count;
+  const std::size_t n_slots = f.cat_slot_count();
   std::vector<Key> keys(block_size * cols);
   // Special side masks, remapped alongside the keys: NaN flags per feature
   // and categorical membership per slot (see CompactForest::special_masks).
@@ -312,7 +363,6 @@ void blocked_traverse(const CompactForest<T, Node>& f, std::size_t block_size,
       Special ? std::max<std::size_t>(block_size * n_slots, 1) : 0);
   for (std::size_t base = 0; base < n_samples; base += block_size) {
     const std::size_t block = std::min(block_size, n_samples - base);
-    block_begin(base, block);
     for (std::size_t s = 0; s < block; ++s) {
       f.remap(features + (base + s) * cols, keys.data() + s * cols);
       if constexpr (Special) {
@@ -321,87 +371,47 @@ void blocked_traverse(const CompactForest<T, Node>& f, std::size_t block_size,
                         member.data() + s * n_slots);
       }
     }
-    for (std::size_t t = 0; t < trees; ++t) {
-      const std::int32_t root = f.roots[t];
-      for (std::size_t s0 = 0; s0 < block; s0 += kBlockLockstep) {
-        const std::size_t g = std::min(kBlockLockstep, block - s0);
-        const Key* krow[kBlockLockstep];
-        std::int32_t cur[kBlockLockstep];
-        for (std::size_t r = 0; r < g; ++r) {
-          cur[r] = root;
-          krow[r] = keys.data() + (s0 + r) * cols;
-        }
-        // Branch-free lockstep rounds: finished lanes step by 0 on their
-        // leaf (leaves read key column 0, a valid index by construction)
-        // until the whole group converges — no per-lane liveness branches
-        // for the predictor to miss.
-        bool any_inner = true;
-        while (any_inner) {
-          any_inner = false;
-          for (std::size_t r = 0; r < g; ++r) {
-            const Node& nd = nodes[cur[r]];
-            const std::int32_t off = nd.right_off;
-            const bool leaf = off < 0;
-            bool go;
-            if constexpr (Special) {
-              const auto fi = static_cast<std::size_t>(nd.feature);
-              const std::uint8_t* nrow = nan_mask.data() + (s0 + r) * cols;
-              if (nrow[fi]) {
-                go = node_default_left(nd);
-              } else if (node_categorical(nd)) {
-                go = member[(s0 + r) * n_slots +
-                            static_cast<std::size_t>(nd.key)] != 0;
-              } else {
-                go = krow[r][fi] <= nd.key;
-              }
-            } else {
-              go = krow[r][static_cast<std::size_t>(nd.feature)] <= nd.key;
-            }
-            if constexpr (Prefetch) {
-              FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : off)]);
-            }
-            cur[r] += leaf ? 0 : (go ? 1 : off);
-            any_inner |= !leaf;
-          }
-        }
-        for (std::size_t r = 0; r < g; ++r) {
-          on_leaf(base + s0 + r, s0 + r,
-                  static_cast<std::int32_t>(nodes[cur[r]].key));
-        }
-      }
-    }
-    block_end(base, block);
+    body(base, block, keys.data(), nan_mask.data(), member.data());
   }
 }
 
-/// Vote epilogue over the blocked traversal.
+/// Vote epilogue over the blocked traversal, with the exact early exit
+/// (vote.hpp): lanes are compacted at every check, since each scalar lane
+/// is its own chain.
 template <bool Prefetch, bool Special, typename T, typename Node>
 void predict_blocked(const CompactForest<T, Node>& f, std::size_t block_size,
                      const T* features, std::size_t n_samples,
                      std::int32_t* out) {
+  using Key = typename CompactForest<T, Node>::Key;
   const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   std::vector<int> votes(block_size * classes);
-  blocked_traverse<Prefetch, Special>(
+  std::vector<std::int32_t> sample_of(block_size);
+  for_each_block<Special>(
       f, block_size, features, n_samples,
-      [&](std::size_t, std::size_t block) {
+      [&](std::size_t base, std::size_t block, const Key* keys,
+          const std::uint8_t* nan_mask, const std::uint8_t* member) {
         std::fill(votes.begin(),
                   votes.begin() + static_cast<std::ptrdiff_t>(block * classes),
                   0);
-      },
-      [&](std::size_t, std::size_t s, std::int32_t key) {
-        ++votes[s * classes + static_cast<std::size_t>(key)];
-      },
-      [&](std::size_t base, std::size_t block) {
-        for (std::size_t s = 0; s < block; ++s) {
-          out[base + s] = argmax_first(votes.data() + s * classes,
-                                       static_cast<int>(classes));
-        }
+        vote_with_exit(
+            f.roots.size(), classes, block, 0, votes.data(), sample_of.data(),
+            out + base,
+            [&](std::size_t t0, std::size_t t1, std::size_t live) {
+              lockstep_walk<Prefetch, Special>(
+                  f, t0, t1, sample_of.data(), live, keys, nan_mask, member,
+                  [&](std::size_t lane, std::int32_t key) {
+                    ++votes[lane * classes + static_cast<std::size_t>(key)];
+                  });
+            },
+            [](std::size_t, std::size_t) {});
       });
 }
 
 /// Interleaved latency path: R trees of ONE sample advance in lockstep, so
 /// R independent node fetches are in flight per round instead of one
-/// serial pointer chase.  `votes` must hold num_classes zeroed slots.
+/// serial pointer chase.  `votes` must hold num_classes zeroed slots.  Past
+/// the midpoint, the walk stops after the first group that decides the
+/// vote (vote.hpp).
 template <bool Prefetch, bool Special, typename T, typename Node>
 void predict_one_interleaved(const CompactForest<T, Node>& f,
                              std::size_t interleave,
@@ -410,6 +420,7 @@ void predict_one_interleaved(const CompactForest<T, Node>& f,
                              const std::uint8_t* member, int* votes) {
   const Node* nodes = f.nodes.data();
   const std::size_t trees = f.roots.size();
+  const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   const std::size_t R = std::clamp<std::size_t>(interleave, 1, kMaxInterleave);
   std::int32_t cur[kMaxInterleave];
   for (std::size_t t0 = 0; t0 < trees; t0 += R) {
@@ -450,46 +461,43 @@ void predict_one_interleaved(const CompactForest<T, Node>& f,
         cur[r] = next;
       }
     }
+    const std::size_t done = t0 + g;
+    if (2 * done >= trees && vote_decided(votes, classes, trees - done)) {
+      return;
+    }
   }
 }
 
 #if defined(FLINT_SIMD_AVX2)
 /// AVX2 blocked batch: remap each block into feature-major int32 key tiles
-/// of 8 lanes (padded lanes zero-filled — they traverse to some leaf on
-/// well-defined inputs and their votes are ignored) and hand the walk to
-/// the vector kernel.  Works for any scalar T: after the remap the
-/// traversal only sees int32 keys and compact nodes.
+/// of 8 lanes and let vote_tiles drive the vector kernel over them (padded
+/// lanes are zero-filled — they traverse to some leaf on well-defined
+/// inputs and their votes are ignored).  Works for any scalar T: after the
+/// remap the traversal only sees int32 keys and compact nodes.
 template <typename T, typename Node>
 void predict_blocked_avx2(const CompactForest<T, Node>& f,
                           std::size_t block_size, const T* features,
                           std::size_t n_samples, std::int32_t* out) {
-  constexpr std::size_t W = 8;
+  constexpr std::size_t W = kTileLanes;
   const std::size_t cols = f.feature_count;
   const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   const std::size_t max_tiles = (block_size + W - 1) / W;
   std::vector<std::int32_t> tiles(max_tiles * cols * W);
   std::vector<int> votes(max_tiles * W * classes);
+  std::vector<std::int32_t> sample_of(block_size);
   for (std::size_t base = 0; base < n_samples; base += block_size) {
     const std::size_t block = std::min(block_size, n_samples - base);
-    const std::size_t n_tiles = (block + W - 1) / W;
     for (std::size_t s = 0; s < block; ++s) {
       f.remap32(features + (base + s) * cols,
                 tiles.data() + (s / W) * cols * W + (s % W), W);
     }
-    for (std::size_t s = block; s < n_tiles * W; ++s) {
-      std::int32_t* lane = tiles.data() + (s / W) * cols * W + (s % W);
-      for (std::size_t c = 0; c < cols; ++c) lane[c * W] = 0;
-    }
-    std::fill(votes.begin(),
-              votes.begin() + static_cast<std::ptrdiff_t>(n_tiles * W *
-                                                          classes),
-              0);
-    predict_tiles_avx2(f.nodes.data(), f.roots.data(), f.roots.size(),
-                       tiles.data(), n_tiles, cols, votes.data(), classes);
-    for (std::size_t s = 0; s < block; ++s) {
-      out[base + s] = argmax_first(votes.data() + s * classes,
-                                   static_cast<int>(classes));
-    }
+    vote_tiles(f.roots.size(), classes, cols, block, tiles.data(),
+               votes.data(), sample_of.data(), out + base,
+               [&](std::size_t t0, std::size_t t1, std::size_t n_tiles) {
+                 predict_tiles_avx2(f.nodes.data(), f.roots.data() + t0,
+                                    t1 - t0, tiles.data(), n_tiles, cols,
+                                    votes.data(), classes);
+               });
   }
 }
 #endif  // FLINT_SIMD_AVX2
@@ -504,15 +512,22 @@ template <bool Prefetch, bool Special, typename T, typename Node>
 void score_blocked(const CompactForest<T, Node>& f, std::size_t block_size,
                    const T* features, std::size_t n_samples,
                    const T* leaf_values, std::size_t n_outputs, T* out) {
-  blocked_traverse<Prefetch, Special>(
+  using Key = typename CompactForest<T, Node>::Key;
+  std::vector<std::int32_t> rows(block_size);
+  std::iota(rows.begin(), rows.end(), 0);
+  for_each_block<Special>(
       f, block_size, features, n_samples,
-      [](std::size_t, std::size_t) {},
-      [&](std::size_t global, std::size_t, std::int32_t key) {
-        const T* lv = leaf_values + static_cast<std::size_t>(key) * n_outputs;
-        T* srow = out + global * n_outputs;
-        for (std::size_t j = 0; j < n_outputs; ++j) srow[j] += lv[j];
-      },
-      [](std::size_t, std::size_t) {});
+      [&](std::size_t base, std::size_t block, const Key* keys,
+          const std::uint8_t* nan_mask, const std::uint8_t* member) {
+        lockstep_walk<Prefetch, Special>(
+            f, 0, f.roots.size(), rows.data(), block, keys, nan_mask, member,
+            [&](std::size_t lane, std::int32_t key) {
+              const T* lv =
+                  leaf_values + static_cast<std::size_t>(key) * n_outputs;
+              T* srow = out + (base + lane) * n_outputs;
+              for (std::size_t j = 0; j < n_outputs; ++j) srow[j] += lv[j];
+            });
+      });
 }
 
 /// Batches below this take the interleaved path (blocked amortization has
@@ -553,7 +568,7 @@ void predict_batch_impl(const CompactForest<T, Node>& f,
         predict_one_interleaved<false, false>(f, plan.interleave, keys.data(),
                                               nullptr, nullptr, votes.data());
       }
-      out[s] = argmax_first(votes.data(), static_cast<int>(classes));
+      out[s] = argmax_first(votes.data(), classes);
     }
     return;
   }

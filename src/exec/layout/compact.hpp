@@ -39,7 +39,9 @@
 // latency path that walks `plan.interleave` trees of ONE sample in
 // lockstep, so independent node fetches overlap in the out-of-order window,
 // optionally software-prefetching the right ("opposite" of the implicit
-// left) child ahead of the compare.
+// left) child ahead of the compare.  Both shapes stop a sample's vote walk
+// once no other class can catch the leader (vote.hpp); score walks visit
+// every tree.
 //
 // Bit-identical to Forest::predict on every input — including NaN routed
 // by per-node default directions and categorical membership splits, via a

@@ -24,6 +24,16 @@
 
 namespace flint::exec::layout {
 
+/// Lanes per key tile (one __m256i of int32 keys).
+inline constexpr std::size_t kTileLanes = 8;
+
+/// Independent tiles walked concurrently per tree.  A single tile is a
+/// serial chain (index -> gather -> compare -> index), bound by gather
+/// LATENCY (~a cache access per level); kTileGroup independent chains
+/// pipeline those gathers and approach gather THROUGHPUT instead.  This is
+/// the vector analog of the scalar path's kBlockLockstep interleave.
+inline constexpr std::size_t kTileGroup = 4;
+
 #if defined(FLINT_SIMD_AVX2)
 
 /// Runtime check (the TU is compiled with -mavx2, the host must agree).

@@ -26,14 +26,7 @@ bool layout_avx2_supported() noexcept {
 
 namespace {
 
-constexpr std::size_t W = 8;
-
-/// Independent tiles walked concurrently per tree.  A single tile is a
-/// serial chain (index -> gather -> compare -> index), bound by gather
-/// LATENCY (~a cache access per level); G independent chains pipeline
-/// those gathers and approach gather THROUGHPUT instead.  This is the
-/// vector analog of the scalar path's kBlockLockstep interleave.
-constexpr std::size_t kTileGroup = 4;
+constexpr std::size_t W = kTileLanes;
 
 }  // namespace
 

@@ -4,9 +4,11 @@
 #include <bit>
 #include <cstdlib>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "exec/layout/kernels.hpp"
+#include "exec/layout/vote.hpp"
 #include "exec/pack_checks.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -24,14 +26,6 @@ namespace {
 template <typename T>
 T normalize_zero(T split) {
   return split == T{0} ? T{0} : split;
-}
-
-std::int32_t argmax_first(const int* votes, int num_classes) {
-  std::int32_t best = 0;
-  for (int c = 1; c < num_classes; ++c) {
-    if (votes[c] > votes[best]) best = c;
-  }
-  return best;
 }
 
 }  // namespace
@@ -181,79 +175,75 @@ namespace {
 constexpr std::size_t kQ4BlockLockstep = 16;
 constexpr std::size_t kQ4LatencyMaxBatch = 8;
 
-/// Blocked lockstep walk over pre-quantized keys: the q4 counterpart of
-/// compact.cpp's blocked_traverse, minus the per-block remap — keys were
-/// quantized once for the whole batch by the caller.  `qkeys` is the
-/// n_samples x cols_a column block, `on_leaf(global, local, payload)` fires
-/// once per (tree, sample).
+/// Lockstep walk of trees [t0, t1) over `n` lanes of pre-quantized keys:
+/// the q4 counterpart of compact.cpp's lockstep_walk, minus the per-block
+/// remap — keys were quantized once for the whole batch by the caller.
+/// Lane l reads its keys (and Special masks) at row rows[l] of `qkeys`, a
+/// column block of cols_a keys a row; `on_leaf(lane, payload)` fires once
+/// per (tree, lane).
 template <bool Prefetch, bool Special, typename KeyT, typename T,
-          typename BlockBegin, typename OnLeaf, typename BlockEnd>
-void q4_blocked_traverse(const Q4Forest<T>& f, std::size_t block_size,
-                         const KeyT* qkeys, const std::uint8_t* nan_mask,
-                         const std::uint8_t* member, std::size_t cols_a,
-                         std::size_t slots_a, std::size_t n_samples,
-                         BlockBegin&& block_begin, OnLeaf&& on_leaf,
-                         BlockEnd&& block_end) {
+          typename OnLeaf>
+void q4_lockstep_walk(const Q4Forest<T>& f, std::size_t t0, std::size_t t1,
+                      const std::int32_t* rows, std::size_t n,
+                      const KeyT* qkeys, const std::uint8_t* nan_mask,
+                      const std::uint8_t* member, std::size_t cols_a,
+                      std::size_t slots_a, OnLeaf&& on_leaf) {
   const Q4Geometry g = f.geom;
   const CompactNode4* nodes = f.nodes.data();
   const std::uint8_t* flags = f.flags.data();
-  const std::size_t trees = f.roots.size();
-  for (std::size_t base = 0; base < n_samples; base += block_size) {
-    const std::size_t block = std::min(block_size, n_samples - base);
-    block_begin(base, block);
-    for (std::size_t t = 0; t < trees; ++t) {
-      const std::int32_t root = f.roots[t];
-      for (std::size_t s0 = 0; s0 < block; s0 += kQ4BlockLockstep) {
-        const std::size_t gsz = std::min(kQ4BlockLockstep, block - s0);
-        const KeyT* krow[kQ4BlockLockstep];
-        std::int32_t cur[kQ4BlockLockstep];
+  for (std::size_t t = t0; t < t1; ++t) {
+    const std::int32_t root = f.roots[t];
+    for (std::size_t s0 = 0; s0 < n; s0 += kQ4BlockLockstep) {
+      const std::size_t gsz = std::min(kQ4BlockLockstep, n - s0);
+      const KeyT* krow[kQ4BlockLockstep];
+      std::size_t row[kQ4BlockLockstep];
+      std::int32_t cur[kQ4BlockLockstep];
+      for (std::size_t r = 0; r < gsz; ++r) {
+        row[r] = static_cast<std::size_t>(rows[s0 + r]);
+        cur[r] = root;
+        krow[r] = qkeys + row[r] * cols_a;
+      }
+      bool any_inner = true;
+      while (any_inner) {
+        any_inner = false;
         for (std::size_t r = 0; r < gsz; ++r) {
-          cur[r] = root;
-          krow[r] = qkeys + (base + s0 + r) * cols_a;
-        }
-        bool any_inner = true;
-        while (any_inner) {
-          any_inner = false;
-          for (std::size_t r = 0; r < gsz; ++r) {
-            const std::uint32_t w = nodes[cur[r]].word;
-            const bool leaf = (w & kQ4LeafBit) != 0;
-            const auto key = g.key_of(w);
-            const auto fi = static_cast<std::size_t>(g.feature_of(w));
-            const auto off = static_cast<std::int32_t>(g.offset_of(w));
-            bool go;
-            if constexpr (Special) {
-              const std::uint8_t fl = flags[cur[r]];
-              const std::uint8_t* nrow =
-                  nan_mask + (base + s0 + r) * cols_a;
-              if (nrow[fi]) {
-                go = (fl & kQ4DefaultLeft) != 0;
-              } else if (fl & kQ4Categorical) {
-                go = member[(base + s0 + r) * slots_a +
-                            static_cast<std::size_t>(key)] != 0;
-              } else {
-                go = static_cast<std::uint32_t>(krow[r][fi]) <= key;
-              }
+          const std::uint32_t w = nodes[cur[r]].word;
+          const bool leaf = (w & kQ4LeafBit) != 0;
+          const auto key = g.key_of(w);
+          const auto fi = static_cast<std::size_t>(g.feature_of(w));
+          const auto off = static_cast<std::int32_t>(g.offset_of(w));
+          bool go;
+          if constexpr (Special) {
+            const std::uint8_t fl = flags[cur[r]];
+            if (nan_mask[row[r] * cols_a + fi]) {
+              go = (fl & kQ4DefaultLeft) != 0;
+            } else if (fl & kQ4Categorical) {
+              go = member[row[r] * slots_a + static_cast<std::size_t>(key)] !=
+                   0;
             } else {
               go = static_cast<std::uint32_t>(krow[r][fi]) <= key;
             }
-            if constexpr (Prefetch) {
-              FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : off)]);
-            }
-            cur[r] += leaf ? 0 : (go ? 1 : off);
-            any_inner |= !leaf;
+          } else {
+            go = static_cast<std::uint32_t>(krow[r][fi]) <= key;
           }
-        }
-        for (std::size_t r = 0; r < gsz; ++r) {
-          on_leaf(base + s0 + r, s0 + r,
-                  static_cast<std::int32_t>(g.key_of(nodes[cur[r]].word)));
+          if constexpr (Prefetch) {
+            FLINT_PREFETCH(&nodes[cur[r] + (leaf ? 0 : off)]);
+          }
+          cur[r] += leaf ? 0 : (go ? 1 : off);
+          any_inner |= !leaf;
         }
       }
+      for (std::size_t r = 0; r < gsz; ++r) {
+        on_leaf(s0 + r,
+                static_cast<std::int32_t>(g.key_of(nodes[cur[r]].word)));
+      }
     }
-    block_end(base, block);
   }
 }
 
-/// Vote epilogue over the blocked traversal.
+/// Vote epilogue over the blocked traversal, with the exact early exit
+/// (vote.hpp): lanes are compacted at every check, since each scalar lane
+/// is its own chain.
 template <bool Prefetch, bool Special, typename KeyT, typename T>
 void q4_predict_blocked(const Q4Forest<T>& f, std::size_t block_size,
                         const KeyT* qkeys, const std::uint8_t* nan_mask,
@@ -262,26 +252,32 @@ void q4_predict_blocked(const Q4Forest<T>& f, std::size_t block_size,
                         std::int32_t* out) {
   const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   std::vector<int> votes(block_size * classes);
-  q4_blocked_traverse<Prefetch, Special>(
-      f, block_size, qkeys, nan_mask, member, cols_a, slots_a, n_samples,
-      [&](std::size_t, std::size_t block) {
-        std::fill(votes.begin(),
-                  votes.begin() + static_cast<std::ptrdiff_t>(block * classes),
-                  0);
-      },
-      [&](std::size_t, std::size_t s, std::int32_t key) {
-        ++votes[s * classes + static_cast<std::size_t>(key)];
-      },
-      [&](std::size_t base, std::size_t block) {
-        for (std::size_t s = 0; s < block; ++s) {
-          out[base + s] = argmax_first(votes.data() + s * classes,
-                                       static_cast<int>(classes));
-        }
-      });
+  std::vector<std::int32_t> sample_of(block_size);
+  for (std::size_t base = 0; base < n_samples; base += block_size) {
+    const std::size_t block = std::min(block_size, n_samples - base);
+    const KeyT* bkeys = qkeys + base * cols_a;
+    const std::uint8_t* bnan = Special ? nan_mask + base * cols_a : nullptr;
+    const std::uint8_t* bmember = Special ? member + base * slots_a : nullptr;
+    std::fill(votes.begin(),
+              votes.begin() + static_cast<std::ptrdiff_t>(block * classes), 0);
+    vote_with_exit(
+        f.roots.size(), classes, block, 0, votes.data(), sample_of.data(),
+        out + base,
+        [&](std::size_t t0, std::size_t t1, std::size_t live) {
+          q4_lockstep_walk<Prefetch, Special>(
+              f, t0, t1, sample_of.data(), live, bkeys, bnan, bmember, cols_a,
+              slots_a, [&](std::size_t lane, std::int32_t key) {
+                ++votes[lane * classes + static_cast<std::size_t>(key)];
+              });
+        },
+        [](std::size_t, std::size_t) {});
+  }
 }
 
 /// Interleaved latency path: R trees of one sample in lockstep (quantized
-/// keys for the one sample were produced by the caller).
+/// keys for the one sample were produced by the caller).  Past the
+/// midpoint, the walk stops after the first group that decides the vote
+/// (vote.hpp).
 template <bool Prefetch, bool Special, typename T>
 void q4_predict_one_interleaved(const Q4Forest<T>& f, std::size_t interleave,
                                 const std::uint16_t* keys,
@@ -291,6 +287,7 @@ void q4_predict_one_interleaved(const Q4Forest<T>& f, std::size_t interleave,
   const CompactNode4* nodes = f.nodes.data();
   const std::uint8_t* flags = f.flags.data();
   const std::size_t trees = f.roots.size();
+  const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   const std::size_t R = std::clamp<std::size_t>(interleave, 1, kMaxInterleave);
   std::int32_t cur[kMaxInterleave];
   for (std::size_t t0 = 0; t0 < trees; t0 += R) {
@@ -333,6 +330,10 @@ void q4_predict_one_interleaved(const Q4Forest<T>& f, std::size_t interleave,
         cur[r] = next;
       }
     }
+    const std::size_t done = t0 + gsz;
+    if (2 * done >= trees && vote_decided(votes, classes, trees - done)) {
+      return;
+    }
   }
 }
 
@@ -340,20 +341,21 @@ void q4_predict_one_interleaved(const Q4Forest<T>& f, std::size_t interleave,
 /// AVX2 blocked batch over the 4-byte image: per block, WIDEN the
 /// already-quantized column block into feature-major int32 tiles of 8
 /// lanes (a cast, not a search — the rank remap the wider kernels pay per
-/// block ran once, at the batch boundary) and hand the walk to the q4
-/// vector kernel.
+/// block ran once, at the batch boundary) and let vote_tiles drive the q4
+/// vector kernel over them.
 template <typename KeyT, typename T>
 void q4_predict_blocked_avx2(const Q4Forest<T>& f, std::size_t block_size,
                              const KeyT* qkeys, std::size_t cols_a,
                              std::size_t n_samples, std::int32_t* out) {
-  constexpr std::size_t W = 8;
+  constexpr std::size_t W = kTileLanes;
   const auto classes = static_cast<std::size_t>(std::max(f.num_classes, 1));
   const std::size_t max_tiles = (block_size + W - 1) / W;
   std::vector<std::int32_t> tiles(max_tiles * cols_a * W);
   std::vector<int> votes(max_tiles * W * classes);
+  std::vector<std::int32_t> sample_of(block_size);
+  const auto* words = reinterpret_cast<const std::uint32_t*>(f.nodes.data());
   for (std::size_t base = 0; base < n_samples; base += block_size) {
     const std::size_t block = std::min(block_size, n_samples - base);
-    const std::size_t n_tiles = (block + W - 1) / W;
     for (std::size_t s = 0; s < block; ++s) {
       const KeyT* qrow = qkeys + (base + s) * cols_a;
       std::int32_t* lane = tiles.data() + (s / W) * cols_a * W + (s % W);
@@ -361,21 +363,14 @@ void q4_predict_blocked_avx2(const Q4Forest<T>& f, std::size_t block_size,
         lane[c * W] = static_cast<std::int32_t>(qrow[c]);
       }
     }
-    for (std::size_t s = block; s < n_tiles * W; ++s) {
-      std::int32_t* lane = tiles.data() + (s / W) * cols_a * W + (s % W);
-      for (std::size_t c = 0; c < cols_a; ++c) lane[c * W] = 0;
-    }
-    std::fill(
-        votes.begin(),
-        votes.begin() + static_cast<std::ptrdiff_t>(n_tiles * W * classes), 0);
-    predict_tiles_q4_avx2(
-        reinterpret_cast<const std::uint32_t*>(f.nodes.data()),
-        f.roots.data(), f.roots.size(), tiles.data(), n_tiles, cols_a,
-        votes.data(), classes, f.geom.key_bits, f.geom.feature_bits);
-    for (std::size_t s = 0; s < block; ++s) {
-      out[base + s] = argmax_first(votes.data() + s * classes,
-                                   static_cast<int>(classes));
-    }
+    vote_tiles(f.roots.size(), classes, cols_a, block, tiles.data(),
+               votes.data(), sample_of.data(), out + base,
+               [&](std::size_t t0, std::size_t t1, std::size_t n_tiles) {
+                 predict_tiles_q4_avx2(words, f.roots.data() + t0, t1 - t0,
+                                       tiles.data(), n_tiles, cols_a,
+                                       votes.data(), classes, f.geom.key_bits,
+                                       f.geom.feature_bits);
+               });
   }
 }
 #endif  // FLINT_SIMD_AVX2
@@ -417,7 +412,7 @@ void q4_predict_batch_impl(const Q4Forest<T>& f, const LayoutPlan& plan,
         q4_predict_one_interleaved<false, false>(
             f, plan.interleave, keys.data(), nullptr, nullptr, votes.data());
       }
-      out[s] = argmax_first(votes.data(), static_cast<int>(classes));
+      out[s] = argmax_first(votes.data(), classes);
     }
     return;
   }
@@ -480,15 +475,20 @@ void q4_score_blocked(const Q4Forest<T>& f, std::size_t block_size,
                       const std::uint8_t* member, std::size_t cols_a,
                       std::size_t slots_a, std::size_t n_samples,
                       const T* leaf_values, std::size_t n_outputs, T* out) {
-  q4_blocked_traverse<Prefetch, Special>(
-      f, block_size, qkeys, nan_mask, member, cols_a, slots_a, n_samples,
-      [](std::size_t, std::size_t) {},
-      [&](std::size_t global, std::size_t, std::int32_t key) {
-        const T* lv = leaf_values + static_cast<std::size_t>(key) * n_outputs;
-        T* srow = out + global * n_outputs;
-        for (std::size_t j = 0; j < n_outputs; ++j) srow[j] += lv[j];
-      },
-      [](std::size_t, std::size_t) {});
+  std::vector<std::int32_t> rows(block_size);
+  std::iota(rows.begin(), rows.end(), 0);
+  for (std::size_t base = 0; base < n_samples; base += block_size) {
+    const std::size_t block = std::min(block_size, n_samples - base);
+    q4_lockstep_walk<Prefetch, Special>(
+        f, 0, f.roots.size(), rows.data(), block, qkeys + base * cols_a,
+        Special ? nan_mask + base * cols_a : nullptr,
+        Special ? member + base * slots_a : nullptr, cols_a, slots_a,
+        [&](std::size_t lane, std::int32_t key) {
+          const T* lv = leaf_values + static_cast<std::size_t>(key) * n_outputs;
+          T* srow = out + (base + lane) * n_outputs;
+          for (std::size_t j = 0; j < n_outputs; ++j) srow[j] += lv[j];
+        });
+  }
 }
 
 template <typename KeyT, typename T>

@@ -10,11 +10,14 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <cstdlib>
 #include <limits>
+#include <map>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/flint.hpp"
@@ -24,6 +27,7 @@
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
+#include "exec/layout/vote.hpp"
 #include "predict/predictor.hpp"
 #include "trees/forest.hpp"
 #include "trees/tree_stats.hpp"
@@ -827,6 +831,266 @@ TEST(Q4Contract, ForceAffineKeepsContractOnSmallTables) {
   for (std::size_t f = 0; f < packed->qplan.features.size(); ++f) {
     if (tables.features[f].size() == 0) continue;
     EXPECT_FALSE(packed->qplan.features[f].exact()) << "feature " << f;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Exact early exit of the vote paths (vote.hpp).
+// ---------------------------------------------------------------------------
+
+/// Every class argmax_first can end on when `left` more votes are spread
+/// over classes [c, counts.size()) of `counts`.
+void collect_winners(std::vector<int>& counts, std::size_t c, int left,
+                     std::set<std::int32_t>& winners) {
+  if (c + 1 == counts.size()) {
+    counts[c] += left;
+    winners.insert(layout::argmax_first(counts.data(), counts.size()));
+    counts[c] -= left;
+    return;
+  }
+  for (int k = 0; k <= left; ++k) {
+    counts[c] += k;
+    collect_winners(counts, c + 1, left - k, winners);
+    counts[c] -= k;
+  }
+}
+
+// Brute force over every vote sequence and every prefix: vote_decided is
+// true exactly when every completion ends on the prefix leader, so the
+// exit is exact (no completion changes the winner) and tight (no exit is
+// missed); and nothing is decided before half the trees have voted.
+TEST(VoteExit, RuleIsExactAndTightOnEveryPrefix) {
+  for (std::size_t classes = 2; classes <= 4; ++classes) {
+    for (std::size_t trees = 1; trees <= 8; ++trees) {
+      std::map<std::pair<std::vector<int>, std::size_t>, bool> one_winner;
+      std::vector<std::size_t> seq(trees, 0);  // odometer over the classes
+      bool more = true;
+      while (more) {
+        std::vector<int> counts(classes, 0);
+        for (std::size_t t = 0; t <= trees; ++t) {
+          if (t > 0) ++counts[seq[t - 1]];
+          const std::size_t remaining = trees - t;
+          auto [it, fresh] = one_winner.try_emplace({counts, remaining}, false);
+          if (fresh) {
+            std::set<std::int32_t> winners;
+            collect_winners(counts, 0, static_cast<int>(remaining), winners);
+            it->second = winners.size() == 1;
+          }
+          const bool decided =
+              layout::vote_decided(counts.data(), classes, remaining);
+          ASSERT_EQ(decided, it->second)
+              << "T=" << trees << " C=" << classes << " t=" << t;
+          if (2 * t < trees) {
+            ASSERT_FALSE(decided) << "decided before the midpoint: T="
+                                  << trees << " C=" << classes << " t=" << t;
+          }
+        }
+        std::size_t i = 0;
+        while (i < trees && ++seq[i] == classes) seq[i++] = 0;
+        more = i < trees;
+      }
+    }
+  }
+}
+
+/// One split of a stump forest: tree t sends `feature <= threshold` left.
+struct Stump {
+  std::int32_t feature;
+  float threshold;
+  std::int32_t left;
+  std::int32_t right;
+};
+
+flint::trees::Forest<float> stump_forest(const std::vector<Stump>& stumps,
+                                         std::size_t features, int classes,
+                                         bool default_left) {
+  std::vector<flint::trees::Tree<float>> trees;
+  for (const auto& st : stumps) {
+    flint::trees::Tree<float> tree(features);
+    const auto root = default_left
+                          ? tree.add_split(st.feature, st.threshold, true)
+                          : tree.add_split(st.feature, st.threshold);
+    const auto l = tree.add_leaf(st.left);
+    const auto r = tree.add_leaf(st.right);
+    tree.link(root, l, r);
+    trees.push_back(std::move(tree));
+  }
+  return flint::trees::Forest<float>(std::move(trees), classes);
+}
+
+/// One-feature stumps whose thresholds rise with the tree index, so a
+/// sample goes right in a prefix of the trees and left in the rest: x
+/// below every threshold votes the `left` sequence, x above every one the
+/// `right` sequence, and values in between splice the two.
+std::vector<Stump> spliced_stumps(const std::vector<std::int32_t>& left,
+                                  const std::vector<std::int32_t>& right) {
+  std::vector<Stump> stumps;
+  for (std::size_t t = 0; t < left.size(); ++t) {
+    stumps.push_back({0, static_cast<float>(t + 1) /
+                             static_cast<float>(left.size() + 1),
+                      left[t], right[t]});
+  }
+  return stumps;
+}
+
+/// Stumps over `features` features with per-tree class pairs drawn from a
+/// skewed distribution, so that some samples decide early and others late.
+std::vector<Stump> random_stumps(std::size_t trees, std::size_t features,
+                                 int classes, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<double> weights;
+  for (int c = 0; c < classes; ++c) weights.push_back(1.0 / (c + 1));
+  std::discrete_distribution<std::int32_t> cls(weights.begin(), weights.end());
+  std::uniform_int_distribution<std::int32_t> feat(
+      0, static_cast<std::int32_t>(features) - 1);
+  std::uniform_real_distribution<float> thr(0.0f, 1.0f);
+  std::vector<Stump> stumps;
+  for (std::size_t t = 0; t < trees; ++t) {
+    stumps.push_back({feat(rng), thr(rng), cls(rng), cls(rng)});
+  }
+  return stumps;
+}
+
+/// Pins the portable scalar loops for its lifetime.
+struct ForceScalar {
+  explicit ForceScalar(bool pin) : on(pin) {
+    if (on) setenv("FLINT_LAYOUT_FORCE_SCALAR", "1", 1);
+  }
+  ~ForceScalar() {
+    if (on) unsetenv("FLINT_LAYOUT_FORCE_SCALAR");
+  }
+  bool on;
+};
+
+// End to end: stump forests whose samples decide at different trees, run
+// through every layout backend at batch sizes on both sides of the latency
+// path, the one-tile-group block and the block size, on the vector and the
+// scalar loops.  Every prediction must equal Forest::predict.
+TEST(VoteExit, StumpForestsMatchForestPredictOnEveryPath) {
+  struct Case {
+    std::string name;
+    flint::trees::Forest<float> forest;
+    bool nan = false;
+  };
+  std::vector<Case> cases;
+  // Left: 1,1,0,0 ties 2:2 at the last tree and resolves to class 0.
+  cases.push_back({"tie at the last tree",
+                   stump_forest(spliced_stumps({1, 1, 0, 0}, {0, 1, 1, 0}),
+                                1, 2, false)});
+  // Left: class 2 leads 3:0 at the midpoint, then class 1 ties it 3:3 at
+  // the last tree and wins on the lower id.  Right: class 0 leads 2:1 at
+  // the midpoint and class 2 overtakes it at the fifth tree.
+  cases.push_back(
+      {"leader changes after the midpoint",
+       stump_forest(spliced_stumps({2, 2, 2, 1, 1, 1}, {0, 0, 2, 2, 2, 2}),
+                    1, 3, false)});
+  cases.push_back({"one tree", stump_forest(spliced_stumps({1}, {0}), 1, 2,
+                                            false)});
+  cases.push_back({"two trees", stump_forest(spliced_stumps({1, 0}, {0, 1}),
+                                             1, 2, false)});
+  std::uint64_t seed = 11;
+  for (const int classes : {2, 11}) {
+    for (const std::size_t trees : {std::size_t{3}, std::size_t{8},
+                                    std::size_t{17}, std::size_t{64}}) {
+      cases.push_back({std::to_string(trees) + " trees, " +
+                           std::to_string(classes) + " classes",
+                       stump_forest(random_stumps(trees, 3, classes, ++seed),
+                                    3, classes, false)});
+    }
+  }
+  cases.push_back({"NaN default-left, 33 trees",
+                   stump_forest(random_stumps(33, 3, 2, ++seed), 3, 2, true),
+                   true});
+
+  constexpr std::size_t kRows = 1024;
+  for (const auto& c : cases) {
+    const std::size_t cols = c.forest.feature_count();
+    ASSERT_EQ(c.forest.has_special_splits(), c.nan) << c.name;
+    std::mt19937_64 rng(seed + cols);
+    std::uniform_real_distribution<float> unit(0.0f, 1.0f);
+    std::uniform_int_distribution<int> kind(0, 9);
+    std::vector<float> rows(kRows * cols);
+    for (auto& v : rows) {
+      switch (kind(rng)) {
+        case 0: v = -1.0f; break;  // below every threshold
+        case 1: v = 2.0f; break;   // above every threshold
+        case 2:
+          v = c.nan ? std::numeric_limits<float>::quiet_NaN() : unit(rng);
+          break;
+        default: v = unit(rng);
+      }
+    }
+    std::vector<std::int32_t> expected(kRows);
+    std::set<std::size_t> decided_at;
+    for (std::size_t s = 0; s < kRows; ++s) {
+      const std::span<const float> x(rows.data() + s * cols, cols);
+      expected[s] = c.forest.predict(x);
+      std::vector<int> votes(static_cast<std::size_t>(c.forest.num_classes()));
+      for (std::size_t t = 0; t < c.forest.size(); ++t) {
+        ++votes[static_cast<std::size_t>(c.forest.tree(t).predict(x))];
+        if (layout::vote_decided(votes.data(), votes.size(),
+                                 c.forest.size() - t - 1)) {
+          decided_at.insert(t);
+          break;
+        }
+      }
+    }
+    if (c.forest.size() >= 17) {
+      EXPECT_GE(decided_at.size(), 3u)
+          << c.name << ": samples should decide at different trees";
+    }
+    for (const char* backend : {"layout:auto", "layout:c16", "layout:q4"}) {
+      const auto predictor = flint::predict::make_predictor(c.forest, backend);
+      for (const bool scalar : {false, true}) {
+        const ForceScalar pin(scalar);
+        for (const std::size_t n :
+             {std::size_t{1}, std::size_t{8}, std::size_t{9}, std::size_t{32},
+              std::size_t{33}, std::size_t{256}, std::size_t{257},
+              std::size_t{1024}}) {
+          std::vector<std::int32_t> out(n, -1);
+          predictor->predict_batch({rows.data(), n * cols}, n, out);
+          for (std::size_t s = 0; s < n; ++s) {
+            ASSERT_EQ(out[s], expected[s])
+                << c.name << " " << predictor->name() << " n=" << n
+                << " scalar=" << scalar << " sample " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The engines at a block size below the batch: every block compacts on
+// its own, including a short tail block, on the vector and scalar loops.
+TEST(VoteExit, SmallBlocksCompactIndependently) {
+  const auto forest = stump_forest(random_stumps(40, 3, 5, 99), 3, 5, false);
+  const auto tables = layout::build_key_tables(forest);
+  const std::size_t n = 301;
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<float> unit(-0.1f, 1.1f);
+  std::vector<float> rows(n * 3);
+  for (auto& v : rows) v = unit(rng);
+  std::vector<std::int32_t> expected(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    expected[s] = forest.predict({rows.data() + s * 3, 3});
+  }
+  for (const bool scalar : {false, true}) {
+    const ForceScalar pin(scalar);
+    for (const std::size_t block : {std::size_t{33}, std::size_t{72}}) {
+      layout::LayoutPlan plan;
+      plan.block_size = block;
+      const layout::LayoutForestEngine<float> c16(forest, plan, tables);
+      plan.width = layout::NodeWidth::Q4;
+      const layout::Q4ForestEngine<float> q4(forest, plan, tables);
+      std::vector<std::int32_t> out(n, -1);
+      c16.predict_batch(rows.data(), n, out.data());
+      EXPECT_EQ(out, expected) << "c16 block " << block << " scalar "
+                               << scalar;
+      std::fill(out.begin(), out.end(), -1);
+      q4.predict_batch(rows.data(), n, out.data());
+      EXPECT_EQ(out, expected) << "q4 block " << block << " scalar "
+                               << scalar;
+    }
   }
 }
 

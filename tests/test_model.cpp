@@ -137,14 +137,6 @@ std::vector<float> manual_scores(const model::ForestModel<float>& m,
   return scores;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in) << "cannot open " << path;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::move(buf).str();
-}
-
 // ---------------------------------------------------------------------------
 // JSON parser.
 // ---------------------------------------------------------------------------
