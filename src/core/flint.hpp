@@ -222,17 +222,21 @@ struct EncodedThreshold {
                                    const EncodedThreshold&) = default;
 };
 
-/// Encodes the split constant for a `x <= s` test.  A split of -0.0 is
-/// rewritten to +0.0 first: FLInt orders -0.0 < +0.0 while IEEE-754 treats
-/// them as equal, and the rewrite makes `x <= -0.0` (IEEE: true for x=+0.0)
-/// agree for every input (paper Section IV-B, footnote 1).
+/// Rewrites a split of -0.0 to +0.0: FLInt orders -0.0 < +0.0 while
+/// IEEE-754 treats them as equal, and the rewrite makes `x <= -0.0` (IEEE:
+/// true for x=+0.0) agree for every input (paper Section IV-B, footnote 1).
+/// Every consumer of a split — encoders, key tables, packers, quantizers,
+/// the verifier — keys the rewritten value.
+template <FlintFloat T>
+[[nodiscard]] constexpr T normalize_zero(T split) noexcept {
+  return split == T{0} ? T{0} : split;
+}
+
+/// Encodes the split constant for a `x <= s` test, after normalize_zero.
 template <FlintFloat T>
 [[nodiscard]] constexpr EncodedThreshold<T> encode_threshold_le(T split) noexcept {
   using S = typename FloatTraits<T>::Signed;
-  S bits = si_bits(split);
-  if (bits == FloatTraits<T>::sign_mask) {
-    bits = 0;  // -0.0 -> +0.0
-  }
+  const S bits = si_bits(normalize_zero(split));
   if (bits >= 0) {
     return {ThresholdMode::Direct, bits};
   }

@@ -74,6 +74,13 @@ const layout::Q4Forest<T>* ExecArtifacts<T>::try_q4_at(std::size_t hot_depth,
 }
 
 template <typename T>
+std::optional<layout::CompactForest<T, layout::CompactNode16>>
+ExecArtifacts<T>::take_c16(std::string* why) {
+  if (try_compact16_at(plan_.hot_depth, why) == nullptr) return std::nullopt;
+  return std::move(c16_.extract(plan_.hot_depth).mapped());
+}
+
+template <typename T>
 std::optional<layout::Q4Forest<T>> ExecArtifacts<T>::take_q4(
     std::string* why) {
   if (try_q4_at(plan_.hot_depth, why) == nullptr) return std::nullopt;

@@ -19,14 +19,13 @@
 // The eager part of construction is the cheap summary set (stats, tables,
 // plan); each packed image is built lazily on first access and cached.
 // make_predictor builds one bundle per layout-family predictor and plans
-// from it (c16 packs over its plan and key tables, q4 takes its image,
-// jit:layout generates from its c16 image); `flint-forest inspect` reports
-// the same plan from a bundle of its own.  verify_model also builds its own
-// bundle and checks the images at hot depths 0 and 4 only — not the image
-// a predictor holds, whose plan may pick another hot depth.  The bundle
-// borrows the forest — it must outlive the ExecArtifacts object (engines
-// that need to survive the forest move or copy their image out, as take_q4
-// and LayoutForestEngine's bind constructor do).
+// from it (c16 and q4 take their image out of it, jit:layout generates
+// from its c16 image); `flint-forest inspect` reports the same plan from a
+// bundle of its own.  verify_model also builds its own bundle and checks
+// the images at hot depths 0 and 4 only — not the image a predictor holds,
+// whose plan may pick another hot depth.  The bundle borrows the forest —
+// it must outlive the ExecArtifacts object (an engine, which must survive
+// the forest, takes its image out with take_c16 or take_q4).
 #pragma once
 
 #include <cstdint>
@@ -85,10 +84,12 @@ class ExecArtifacts {
       std::size_t hot_depth, std::string* why = nullptr);
   const layout::Q4Forest<T>* try_q4_at(std::size_t hot_depth,
                                        std::string* why = nullptr);
-  /// Moves the 4-byte image at plan().hot_depth out of the bundle (packing
-  /// it first if needed), for an engine that outlives the bundle; a later
+  /// Move the image at plan().hot_depth out of the bundle (packing it
+  /// first if needed), for an engine that outlives the bundle; a later
   /// accessor re-packs.  std::nullopt, with `why` set, when it does not
   /// pack.
+  std::optional<layout::CompactForest<T, layout::CompactNode16>> take_c16(
+      std::string* why = nullptr);
   std::optional<layout::Q4Forest<T>> take_q4(std::string* why = nullptr);
 
   /// The wide interpreter's packed image, via the Encoded engine (cached).

@@ -21,13 +21,6 @@ const char* to_string(FlintVariant v) {
 
 namespace {
 
-/// -0.0 split values are normalized to +0.0 before any encoding; see
-/// core::encode_threshold_le.
-template <typename T>
-T normalize_zero(T split) {
-  return split == T{0} ? T{0} : split;
-}
-
 /// Copies a tree's category-set slots into an engine-level pool, returning
 /// the engine slot base for that tree (engine slot = base + tree slot).
 template <typename T>
@@ -84,7 +77,7 @@ FlintForestEngine<T>::FlintForestEngine(const trees::Forest<T>& forest,
           p.payload = static_cast<Signed>(
               slot_base + static_cast<std::size_t>(n.cat_slot));
         } else {
-          const T split = normalize_zero(n.split);
+          const T split = core::normalize_zero(n.split);
           switch (variant_) {
             case FlintVariant::Encoded: {
               const auto enc = core::encode_threshold_le(split);

@@ -10,8 +10,9 @@
 //                         (+ a flags word so four nodes tile a 64-byte
 //                         line and no node ever straddles one).
 //
-// The 4-byte quantized word (quant4.hpp) shares its placement.  Three
-// layout tricks:
+// The 4-byte quantized word (quant4.hpp) shares its placement, its fill
+// loop and every field but the node array (LayoutImage).  Three layout
+// tricks:
 //
 //   * implicit left child — an inner node's left child is ALWAYS the next
 //     node (left = self + 1), so nodes store only a relative right offset
@@ -33,22 +34,11 @@
 //     working set every sample touches), and the subtrees hanging below
 //     the slab are emitted as preorder clusters behind it.
 //
-// Traversal comes in two shapes: a blocked batch loop (remap a block of
-// samples to keys once, then stream each tree's nodes across the block,
-// several samples in lockstep) and an interleaved
-// latency path that walks `plan.interleave` trees of ONE sample in
-// lockstep, so independent node fetches overlap in the out-of-order window,
-// optionally software-prefetching the right ("opposite" of the implicit
-// left) child ahead of the compare.  Both shapes stop a sample's vote walk
-// once no other class can catch the leader (vote.hpp); score walks visit
-// every tree.
-//
-// Bit-identical to Forest::predict on every input — including NaN routed
-// by per-node default directions and categorical membership splits, via a
-// Special traversal that consults per-sample NaN/membership masks computed
-// once at remap time (tests/test_layout.cpp, tests/test_predictor.cpp,
-// tests/test_missing.cpp).  Forests without special splits take the
-// original mask-free paths.
+// An image supplies the one engine (engine.hpp) with three things: its
+// node decode (view()), its row-key function (quantize_row) and its AVX2
+// step kernel (kernels.hpp).  NaN default directions and categorical
+// membership splits route through per-sample NaN/membership masks
+// (LayoutImage::special_masks) and the node's flag bits.
 #pragma once
 
 #include <cstdint>
@@ -64,18 +54,19 @@
 
 namespace flint::exec::layout {
 
-/// CompactNode16 `aux` flag bits (the word that used to be pure line pad).
-inline constexpr std::int32_t kC16DefaultLeft = 1;  ///< NaN routes left
-inline constexpr std::int32_t kC16Categorical = 2;  ///< key = cat slot
+/// Routing flag bits of a compact node (the values of
+/// trees::kNodeDefaultLeft / kNodeCategorical): CompactNode16 keeps them in
+/// `aux`, the 4-byte word in its flags sidecar.  Zero on every node of a
+/// forest without special splits — the fast traversal never reads them.
+inline constexpr std::uint8_t kLayoutDefaultLeft = 1;  ///< NaN routes left
+inline constexpr std::uint8_t kLayoutCategorical = 2;  ///< key = cat slot
 
 /// 16-byte compact node.  Inner: `key` is the narrowed threshold, right
 /// child at self + right_off (> 0), left child at self + 1.  Leaf:
 /// right_off < 0, `key` is the class id, and `feature` is 0 — a valid
 /// column, so branchless lockstep loops may read keys[feature] before the
-/// leaf test resolves.  `aux` carries the missing/categorical flags (zero
-/// on every node of a forest without such splits — the fast traversal
-/// never reads it); categorical nodes store their engine-level category
-/// slot in `key`.
+/// leaf test resolves.  `aux` carries the flag bits; categorical nodes
+/// store their engine-level category slot in `key`.
 struct CompactNode16 {
   std::int32_t key = 0;
   std::int32_t right_off = -1;
@@ -84,32 +75,53 @@ struct CompactNode16 {
 };
 static_assert(sizeof(CompactNode16) == 16, "CompactNode16 must stay 16 bytes");
 
-/// Flag accessors the Special traversal uses; the non-special path never
-/// reads `aux`.
 [[nodiscard]] inline bool node_default_left(const CompactNode16& n) noexcept {
-  return (n.aux & kC16DefaultLeft) != 0;
+  return (n.aux & kLayoutDefaultLeft) != 0;
 }
 [[nodiscard]] inline bool node_categorical(const CompactNode16& n) noexcept {
-  return (n.aux & kC16Categorical) != 0;
+  return (n.aux & kLayoutCategorical) != 0;
 }
 
-/// A forest packed into one compact node array.  `Node` is CompactNode16;
-/// `Key` follows its key field.
-template <typename T, typename Node>
-struct CompactForest {
-  using Key = decltype(Node::key);
+/// One decoded node, as every traversal and the verifier read it: the leaf
+/// tag, the right-child offset (> 0 on inner nodes, <= 0 on leaves), the
+/// feature (0 on leaves) and the key — the threshold key, the category
+/// slot of a categorical node, or a leaf's payload.
+template <typename NodeKey>
+struct NodeStep {
+  bool leaf;
+  std::int32_t off;
+  std::size_t feature;
+  NodeKey key;
+};
+
+/// The c16 node decode: signed int32 fields, flags in `aux`.
+struct C16View {
+  const CompactNode16* nodes;
+
+  [[nodiscard]] NodeStep<std::int32_t> at(std::int32_t i) const noexcept {
+    const CompactNode16& n = nodes[i];
+    return {n.right_off < 0, n.right_off, static_cast<std::size_t>(n.feature),
+            n.key};
+  }
+  [[nodiscard]] std::uint8_t flags(std::int32_t i) const noexcept {
+    return static_cast<std::uint8_t>(nodes[i].aux);
+  }
+};
+
+/// The fields every compact image carries, whatever its node word.
+template <typename T>
+struct LayoutImage {
+  using Scalar = T;
 
   int num_classes = 0;
   std::size_t feature_count = 0;
   std::size_t hot_nodes = 0;     ///< nodes in the hot slab (0 for pure DFS)
-  bool identity_keys = false;    ///< float: key = radix key, table-free
   bool has_special = false;      ///< any default-left / categorical node
-  std::vector<Node> nodes;       ///< all trees, placement per LayoutPlan
   std::vector<std::int32_t> roots;  ///< position of each tree's root
-  KeyTableSet<T> tables;         ///< rank tables (empty when identity_keys)
+  KeyTableSet<T> tables;         ///< rank tables (empty for float c16)
 
   /// Category side tables (has_special only): every categorical NODE owns
-  /// one engine slot (its compact `key`), so per-sample membership can be
+  /// one engine slot (its node key), so per-sample membership can be
   /// precomputed per slot without consulting the node again.
   std::vector<std::uint32_t> cat_words;   ///< category bitsets, all slots
   std::vector<std::int32_t> cat_offsets;  ///< word offset per slot
@@ -143,33 +155,36 @@ struct CompactForest {
                           : 0;
     }
   }
+};
 
-  /// Remaps one sample to narrow comparison keys; `out` needs
-  /// feature_count slots.  Thread-safe.
-  void remap(const T* x, Key* out) const {
-    if (identity_keys) {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f] = static_cast<Key>(core::to_radix_key(x[f]));
-      }
-    } else {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f] = static_cast<Key>(tables.features[f].rank(x[f]));
-      }
-    }
+/// A forest packed into one compact node array.  `Node` is CompactNode16;
+/// `Key` is the row-key element type the scalar traversals read.
+template <typename T, typename Node>
+struct CompactForest : LayoutImage<T> {
+  using Key = decltype(Node::key);
+  static constexpr NodeWidth kWidth = NodeWidth::C16;
+
+  bool identity_keys = false;  ///< float: key = radix key, table-free
+  std::vector<Node> nodes;     ///< all trees, placement per LayoutPlan
+
+  [[nodiscard]] C16View view() const noexcept { return {nodes.data()}; }
+  [[nodiscard]] std::uint8_t node_flags(std::size_t p) const noexcept {
+    return static_cast<std::uint8_t>(nodes[p].aux);
   }
 
-  /// Same remap widened to int32 and written at `stride`-element spacing —
-  /// feature f lands at out[f * stride].  With stride = 8 this writes one
-  /// lane of the AVX2 kernels' feature-major key tiles directly.
-  void remap32(const T* x, std::int32_t* out, std::size_t stride) const {
+  /// Maps one sample row to node keys — the radix key itself
+  /// (identity_keys) or the feature's rank — writing feature f at
+  /// out[f * stride] (stride 8 fills one lane of an AVX2 key tile).
+  /// Thread-safe.
+  template <typename K>
+  void quantize_row(const T* x, K* out, std::size_t stride = 1) const {
     if (identity_keys) {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f * stride] =
-            static_cast<std::int32_t>(core::to_radix_key(x[f]));
+      for (std::size_t f = 0; f < this->feature_count; ++f) {
+        out[f * stride] = static_cast<K>(core::to_radix_key(x[f]));
       }
     } else {
-      for (std::size_t f = 0; f < feature_count; ++f) {
-        out[f * stride] = tables.features[f].rank(x[f]);
+      for (std::size_t f = 0; f < this->feature_count; ++f) {
+        out[f * stride] = static_cast<K>(this->tables.features[f].rank(x[f]));
       }
     }
   }
@@ -216,75 +231,6 @@ template <typename T, typename Node>
     const trees::Forest<T>& forest, const LayoutPlan& plan,
     const KeyTableSet<T>& tables, std::string* why = nullptr);
 
-/// Compact-layout execution engine: owns one packed c16 forest and serves
-/// both traversal shapes.  The source Forest does not need
-/// to outlive it.  predict/predict_batch are const-thread-safe (all vote
-/// and key scratch is function-local), so ParallelPredictor can partition
-/// batches without cloning.
-template <typename T>
-class LayoutForestEngine {
- public:
-  /// Packs with `plan` (width must be C16 — Wide is the factory's
-  /// fallback, not an engine mode).  Throws std::invalid_argument when the
-  /// forest is empty or not representable at 16 bytes.
-  LayoutForestEngine(const trees::Forest<T>& forest, const LayoutPlan& plan,
-                     const KeyTableSet<T>& tables);
-
-  /// Binds an already-packed image (exec/artifacts) without re-packing;
-  /// `plan.width` is overridden to C16.  Throws std::invalid_argument on an
-  /// empty image.
-  LayoutForestEngine(CompactForest<T, CompactNode16> packed,
-                     const LayoutPlan& plan);
-
-  [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] int num_classes() const noexcept { return num_classes_; }
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return feature_count_;
-  }
-  [[nodiscard]] std::size_t tree_count() const noexcept { return tree_count_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return node_count_; }
-  /// Bytes per packed node.
-  [[nodiscard]] std::size_t node_bytes() const noexcept {
-    return sizeof(CompactNode16);
-  }
-  /// Nodes in the shared hot slab (0 under pure DFS placement).
-  [[nodiscard]] std::size_t hot_node_count() const noexcept {
-    return hot_nodes_;
-  }
-
-  /// Classifies `n_samples` row-major samples into `out`.  Small batches
-  /// take the interleaved latency path, larger ones the blocked loop.
-  void predict_batch(const T* features, std::size_t n_samples,
-                     std::int32_t* out) const;
-
-  /// Float-accumulate epilogue for additive leaf-value models
-  /// (model/forest_model.hpp): each leaf's compact `key` payload indexes a
-  /// row of `leaf_values` (`n_outputs` values per row) and
-  /// `out[s*n_outputs+j]` becomes base[j] (zeros when `base` is empty)
-  /// plus the sum of the rows the sample's trees land on, accumulated in
-  /// tree order over the same remapped-key blocked lockstep traversal as
-  /// predict_batch.  Row indices must fit the packed key width — the same
-  /// pack-time gate that bounds class ids.  Thread-safe; zero samples =
-  /// no-op.
-  void predict_scores(const T* features, std::size_t n_samples,
-                      std::span<const T> leaf_values, std::size_t n_outputs,
-                      std::span<const T> base, T* out) const;
-
-  /// Majority-vote class for one sample (interleaved lockstep traversal).
-  [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
-
- private:
-  void bind_packed(CompactForest<T, CompactNode16> packed);
-
-  LayoutPlan plan_;
-  int num_classes_ = 0;
-  std::size_t feature_count_ = 0;
-  std::size_t tree_count_ = 0;
-  std::size_t node_count_ = 0;
-  std::size_t hot_nodes_ = 0;
-  CompactForest<T, CompactNode16> packed_;
-};
-
 extern template EmissionOrder compute_emission_order<float>(
     const trees::Forest<float>&, std::size_t);
 extern template EmissionOrder compute_emission_order<double>(
@@ -298,7 +244,5 @@ extern template std::optional<CompactForest<double, CompactNode16>>
 try_pack<double, CompactNode16>(const trees::Forest<double>&,
                                 const LayoutPlan&, const KeyTableSet<double>&,
                                 std::string*);
-extern template class LayoutForestEngine<float>;
-extern template class LayoutForestEngine<double>;
 
 }  // namespace flint::exec::layout

@@ -1,19 +1,20 @@
-// exec/layout/kernels — architecture-specialized lockstep kernels over the
-// compact node formats.
+// exec/layout/kernels — the AVX2 step kernels of the two compact widths.
 //
-// The scalar blocked loop in compact.cpp walks kBlockLockstep samples in
+// The scalar blocked loop (engine.cpp) walks kBlockLockstep samples in
 // lockstep per tree; on AVX2 hosts the same algorithm runs 8 lanes per
 // vector instruction instead.  Because a compact node is one contiguous
 // record, a step costs 4 (c16) or 2 (q4) vpgatherdd loads, and the gathered
-// image is small, which is what pays off once the forest spills L2.
+// image is small, which is what pays off once the forest spills L2.  The
+// two kernels differ only in the words they gather and how they decode
+// them; the block driver over them is one (engine.cpp).
 //
 // The AVX2 translation unit is compiled only when CMake detects an x86-64
 // toolchain with -mavx2; callers must additionally check
 // layout_avx2_supported() at runtime before dispatching.
 //
 // Sample keys arrive as feature-major int32 tiles of 8 lanes
-// (tile[c*8 + l] = key of lane l, feature c), produced by
-// CompactForest::remap32 with an 8-element stride; votes are laid out
+// (tile[c*8 + l] = key of lane l, feature c), written by the image's
+// quantize_row with an 8-element stride; votes are laid out
 // votes[(tile*8 + l) * classes + c].
 #pragma once
 
@@ -21,6 +22,7 @@
 #include <cstdint>
 
 #include "exec/layout/compact.hpp"
+#include "exec/layout/quant4.hpp"
 
 namespace flint::exec::layout {
 
@@ -39,25 +41,21 @@ inline constexpr std::size_t kTileGroup = 4;
 /// Runtime check (the TU is compiled with -mavx2, the host must agree).
 [[nodiscard]] bool layout_avx2_supported() noexcept;
 
-/// Walks every tree over `n_tiles` 8-lane key tiles and accumulates
-/// per-lane votes (see file comment for layouts).  Thread-safe: touches
-/// only its arguments.
-void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
+/// Walks trees [roots, roots + trees) of the image `nodes` decodes over
+/// `n_tiles` 8-lane key tiles and accumulates per-lane votes (see file
+/// comment for layouts).  Thread-safe: touches only its arguments.
+void predict_tiles_avx2(const C16View& nodes, const std::int32_t* roots,
                         std::size_t trees, const std::int32_t* tiles,
                         std::size_t n_tiles, std::size_t cols, int* votes,
                         std::size_t classes);
 
-/// The 4-byte (layout:q4) walk: one gather per step fetches the whole node
-/// word, decoded with the forest's pack-time bit split (key_bits low,
-/// feature_bits above, right offset above that, sign bit = leaf).  `words`
-/// is the packed CompactNode4 image viewed as raw uint32s so this header
-/// needs no quant4.hpp include; tiles carry the batch-boundary quantized
-/// sample keys (already integers — no remap ran per block).
-void predict_tiles_q4_avx2(const std::uint32_t* words,
-                           const std::int32_t* roots, std::size_t trees,
-                           const std::int32_t* tiles, std::size_t n_tiles,
-                           std::size_t cols, int* votes, std::size_t classes,
-                           std::uint32_t key_bits, std::uint32_t feature_bits);
+/// The 4-byte walk: one gather per step fetches the whole node word,
+/// decoded with the forest's pack-time bit split (key_bits low,
+/// feature_bits above, right offset above that, sign bit = leaf).
+void predict_tiles_avx2(const Q4View& nodes, const std::int32_t* roots,
+                        std::size_t trees, const std::int32_t* tiles,
+                        std::size_t n_tiles, std::size_t cols, int* votes,
+                        std::size_t classes);
 
 #endif  // FLINT_SIMD_AVX2
 

@@ -30,13 +30,13 @@ constexpr std::size_t W = kTileLanes;
 
 }  // namespace
 
-void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
+void predict_tiles_avx2(const C16View& nodes, const std::int32_t* roots,
                         std::size_t trees, const std::int32_t* tiles,
                         std::size_t n_tiles, std::size_t cols, int* votes,
                         std::size_t classes) {
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i one = _mm256_set1_epi32(1);
-  const char* base = reinterpret_cast<const char*>(nodes);
+  const char* base = reinterpret_cast<const char*>(nodes.nodes);
   constexpr int shift = 4;  // 16-byte nodes
   for (std::size_t t = 0; t < trees; ++t) {
     const __m256i root = _mm256_set1_epi32(roots[t]);
@@ -96,12 +96,12 @@ void predict_tiles_avx2(const CompactNode16* nodes, const std::int32_t* roots,
 // sample key) and the gather scale is the element size itself — no byte
 // pre-shift.  The leaf tag is the word's own sign bit, so the convergence
 // test is a movemask of the raw gathered words.
-void predict_tiles_q4_avx2(const std::uint32_t* words,
-                           const std::int32_t* roots, std::size_t trees,
-                           const std::int32_t* tiles, std::size_t n_tiles,
-                           std::size_t cols, int* votes, std::size_t classes,
-                           std::uint32_t key_bits,
-                           std::uint32_t feature_bits) {
+void predict_tiles_avx2(const Q4View& nodes, const std::int32_t* roots,
+                        std::size_t trees, const std::int32_t* tiles,
+                        std::size_t n_tiles, std::size_t cols, int* votes,
+                        std::size_t classes) {
+  const std::uint32_t key_bits = nodes.geom.key_bits;
+  const std::uint32_t feature_bits = nodes.geom.feature_bits;
   const __m256i lane_ids = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i one = _mm256_set1_epi32(1);
   const __m256i key_mask =
@@ -113,7 +113,7 @@ void predict_tiles_q4_avx2(const std::uint32_t* words,
   const __m128i feat_shift = _mm_cvtsi32_si128(static_cast<int>(key_bits));
   const __m128i off_shift =
       _mm_cvtsi32_si128(static_cast<int>(key_bits + feature_bits));
-  const int* base = reinterpret_cast<const int*>(words);
+  const int* base = reinterpret_cast<const int*>(nodes.nodes);
   for (std::size_t t = 0; t < trees; ++t) {
     const __m256i root = _mm256_set1_epi32(roots[t]);
     for (std::size_t tile0 = 0; tile0 < n_tiles; tile0 += kTileGroup) {

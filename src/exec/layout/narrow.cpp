@@ -55,13 +55,9 @@ KeyTableSet<T> build_key_tables(const trees::Forest<T>& forest) {
       // Categorical nodes have no threshold: membership is decided from
       // their bitset, never by rank, so they contribute no table entry.
       if (n.is_categorical()) continue;
-      // Split -0.0 is normalized to +0.0 before keying, exactly as
-      // core::encode_threshold_le does: FLInt orders -0.0 < +0.0 while the
-      // IEEE reference treats them as equal, and the rewrite makes
-      // `x <= -0.0` agree for every input.
-      const T split = n.split == T{0} ? T{0} : n.split;
+      // Keyed after the -0.0 -> +0.0 rewrite (core::normalize_zero).
       keys[static_cast<std::size_t>(n.feature)].push_back(
-          core::to_radix_key(split));
+          core::to_radix_key(core::normalize_zero(n.split)));
     }
   }
   KeyTableSet<T> set;
@@ -88,8 +84,7 @@ KeyTableSet<T> build_key_tables(const trees::Forest<T>& forest) {
 
 template <typename T>
 std::int32_t rank_of_split(const KeyTable<T>& table, T split) {
-  const T normalized = split == T{0} ? T{0} : split;  // -0.0 -> +0.0
-  const auto radix = core::to_radix_key(normalized);
+  const auto radix = core::to_radix_key(core::normalize_zero(split));
   const std::int32_t rank = table.rank_of_key(radix);
   if (static_cast<std::size_t>(rank) >= table.size() ||
       table.keys()[static_cast<std::size_t>(rank)] != radix) {

@@ -1,10 +1,9 @@
 // exec/layout/quant4 — the 4-byte quantized node format (layout:q4).
 //
-// The compact formats (compact.hpp) stop at 8 bytes because they store a
-// full int16 rank plus an int16 feature plus an int32 offset.  This module
-// pushes the same memory-bound argument to its end: ONE 32-bit word per
-// node, so twice the forest fits in each cache level again, and the hot
-// loop is integer-only end to end.
+// The 16-byte node (compact.hpp) stores a full int32 key, feature and
+// offset.  This module pushes the same memory-bound argument to its end:
+// ONE 32-bit word per node, so four times the forest fits in each cache
+// level, and the hot loop is integer-only end to end.
 //
 //   CompactNode4 (4 B)   [ leaf:1 | right_off:O | feature:F | key:K ]
 //
@@ -25,26 +24,21 @@
 // fitness (how many distinct thresholds survive).  The plan travels with
 // the packed image, so verify/inspect/bench all report the same contract.
 //
-// Features are quantized ONCE PER BATCH at the predictor boundary into an
-// int16 (int8 when every feature's key range fits a byte) column block;
-// the traversal — scalar lockstep, interleaved predict_one, or the AVX2
-// tile kernel — then touches only integer keys and 4-byte words.  That is
-// the batch-boundary invariant: no float compare, no per-block re-remap,
-// one quantization pass per predict_batch call.
-//
-// NaN default-direction and categorical splits route exactly as in the
-// other layouts, via a per-node flags SIDECAR (allocated only for special
-// forests) plus the same per-sample NaN/membership masks — the 4-byte word
-// itself has no spare bits to borrow.
+// Everything else — the fields of LayoutImage, the fill loop, the engine
+// (engine.hpp) — is shared with the 16-byte node.  What is q4's own: the
+// word encode and decode (Q4Geometry, Q4View), the row-key function
+// (quantize_row, the per-block quantization the engine runs), and the AVX2
+// step kernel.  NaN default-direction and categorical splits ride in a
+// per-node flags SIDECAR (allocated only for special forests) — the
+// 4-byte word itself has no spare bits to borrow.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "core/flint.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
@@ -62,10 +56,6 @@ static_assert(sizeof(CompactNode4) == 4, "CompactNode4 must stay 4 bytes");
 
 /// Sign bit of the word = leaf tag (decoded with one arithmetic shift).
 inline constexpr std::uint32_t kQ4LeafBit = 0x8000'0000u;
-
-/// Sidecar flag bits (same values as trees::kNodeDefaultLeft/Categorical).
-inline constexpr std::uint8_t kQ4DefaultLeft = 1;
-inline constexpr std::uint8_t kQ4Categorical = 2;
 
 /// Per-forest bit budget of the word's three fields (sums to 31).
 struct Q4Geometry {
@@ -116,79 +106,68 @@ struct Q4Geometry {
   }
 };
 
+/// The q4 node decode: the per-forest bit split, unsigned keys, flags in
+/// the sidecar (`flag_bytes`, read only when the image has special splits).
+struct Q4View {
+  const CompactNode4* nodes;
+  const std::uint8_t* flag_bytes;
+  Q4Geometry geom;
+
+  [[nodiscard]] NodeStep<std::uint32_t> at(std::int32_t i) const noexcept {
+    const std::uint32_t w = nodes[i].word;
+    return {geom.is_leaf(w), static_cast<std::int32_t>(geom.offset_of(w)),
+            geom.feature_of(w), geom.key_of(w)};
+  }
+  [[nodiscard]] std::uint8_t flags(std::int32_t i) const noexcept {
+    return flag_bytes[i];
+  }
+};
+
 /// A forest packed into 4-byte words plus its quantization plan.
 template <typename T>
-struct Q4Forest {
+struct Q4Forest : LayoutImage<T> {
+  using Key = std::uint16_t;
+  static constexpr NodeWidth kWidth = NodeWidth::Q4;
+
   Q4Geometry geom;
-  int num_classes = 0;
-  std::size_t feature_count = 0;
-  std::size_t hot_nodes = 0;
-  bool has_special = false;
   quant::QuantPlan qplan;  ///< per-feature quantizers; bits == geom.key_bits
-  KeyTableSet<T> tables;   ///< rank tables for the Exact-mode features
   std::vector<CompactNode4> nodes;
-  std::vector<std::int32_t> roots;
-  /// Per-node kQ4DefaultLeft/kQ4Categorical bits; empty unless has_special
-  /// (the word has no spare bits, so special semantics ride in a sidecar
-  /// the fast paths never touch).
+  /// Per-node kLayoutDefaultLeft/kLayoutCategorical bits; empty unless
+  /// has_special.
   std::vector<std::uint8_t> flags;
 
-  // Category side tables, same scheme as CompactForest: one engine slot per
-  // categorical node, slot id stored in the node's key bits.
-  std::vector<std::uint32_t> cat_words;
-  std::vector<std::int32_t> cat_offsets;
-  std::vector<std::int32_t> cat_sizes;
-  std::vector<std::int32_t> cat_feature;
+  [[nodiscard]] Q4View view() const noexcept {
+    return {nodes.data(), flags.data(), geom};
+  }
+  [[nodiscard]] std::uint8_t node_flags(std::size_t p) const noexcept {
+    return flags.empty() ? 0 : flags[p];
+  }
 
   /// Bit-exact contract: every feature keys by exact rank.
   [[nodiscard]] bool exact() const noexcept { return qplan.all_exact(); }
 
-  [[nodiscard]] std::size_t cat_slot_count() const noexcept {
-    return cat_feature.size();
-  }
-  [[nodiscard]] std::span<const std::uint32_t> cat_set_of_slot(
-      std::size_t s) const noexcept {
-    return {cat_words.data() + static_cast<std::size_t>(cat_offsets[s]),
-            static_cast<std::size_t>(cat_sizes[s])};
-  }
-
-  /// Largest stored key any feature can produce — decides whether the
-  /// batch column block narrows to int8.
+  /// Largest stored key any feature can produce (a key span of at most
+  /// 255 fits a byte).
   [[nodiscard]] std::int64_t max_key_span() const noexcept {
     std::int64_t m = 0;
     for (const auto& fq : qplan.features) m = std::max(m, fq.key_span());
     return m;
   }
 
-  /// Quantizes one sample row to stored keys (the batch-boundary pass).
-  /// Exact features rank through the table; affine features go through
-  /// their calibrated map.  `out` needs feature_count slots.  Thread-safe.
-  template <typename KeyT>
-  void quantize_row(const T* x, KeyT* out) const {
-    for (std::size_t f = 0; f < feature_count; ++f) {
+  /// Quantizes one sample row to stored keys, writing feature f at
+  /// out[f * stride]: exact features rank through the table, affine
+  /// features go through their calibrated map.  Thread-safe.
+  template <typename K>
+  void quantize_row(const T* x, K* out, std::size_t stride = 1) const {
+    for (std::size_t f = 0; f < this->feature_count; ++f) {
       const auto& fq = qplan.features[f];
       if (fq.exact()) {
-        out[f] = static_cast<KeyT>(tables.features[f].rank(x[f]));
+        out[f * stride] =
+            static_cast<K>(this->tables.features[f].rank(x[f]));
       } else {
-        out[f] = static_cast<KeyT>(fq.quantize(static_cast<double>(x[f])) -
-                                   fq.q_lo);
+        out[f * stride] = static_cast<K>(
+            fq.quantize(static_cast<double>(x[f])) - fq.q_lo);
       }
-    }
-  }
-
-  /// Per-sample NaN / categorical-membership masks (identical contract to
-  /// CompactForest::special_masks).
-  void special_masks(const T* x, std::uint8_t* nan_out,
-                     std::uint8_t* member_out) const {
-    for (std::size_t f = 0; f < feature_count; ++f) {
-      nan_out[f] = core::is_nan_bits<T>(core::si_bits(x[f])) ? 1 : 0;
-    }
-    for (std::size_t s = 0; s < cat_feature.size(); ++s) {
-      const T v = x[static_cast<std::size_t>(cat_feature[s])];
-      member_out[s] = (!core::is_nan_bits<T>(core::si_bits(v)) &&
-                       trees::cat_contains(cat_set_of_slot(s), v))
-                          ? 1
-                          : 0;
     }
   }
 };
@@ -207,59 +186,6 @@ template <typename T>
     const KeyTableSet<T>& tables, bool force_affine = false,
     std::string* why = nullptr);
 
-/// Execution engine over a Q4Forest: batch-boundary quantization feeding
-/// branch-free scalar lockstep, an interleaved latency path, and (when
-/// compiled in and supported) the AVX2 tile kernel.  Same external
-/// contract as LayoutForestEngine; const-thread-safe.
-template <typename T>
-class Q4ForestEngine {
- public:
-  /// Packs with `plan` (width is forced to Q4).  Throws
-  /// std::invalid_argument when the forest is empty or not packable.
-  Q4ForestEngine(const trees::Forest<T>& forest, const LayoutPlan& plan,
-                 const KeyTableSet<T>& tables, bool force_affine = false);
-
-  /// Binds an already-packed image (exec/artifacts) without re-packing.
-  Q4ForestEngine(Q4Forest<T> packed, const LayoutPlan& plan);
-
-  [[nodiscard]] const LayoutPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] const Q4Forest<T>& packed() const noexcept { return packed_; }
-  [[nodiscard]] int num_classes() const noexcept {
-    return packed_.num_classes;
-  }
-  [[nodiscard]] std::size_t feature_count() const noexcept {
-    return packed_.feature_count;
-  }
-  [[nodiscard]] std::size_t tree_count() const noexcept {
-    return packed_.roots.size();
-  }
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return packed_.nodes.size();
-  }
-  [[nodiscard]] std::size_t node_bytes() const noexcept {
-    return sizeof(CompactNode4);
-  }
-  [[nodiscard]] std::size_t hot_node_count() const noexcept {
-    return packed_.hot_nodes;
-  }
-
-  void predict_batch(const T* features, std::size_t n_samples,
-                     std::int32_t* out) const;
-
-  /// Additive leaf-value epilogue (same contract as
-  /// LayoutForestEngine::predict_scores: tree-order accumulation, leaf key
-  /// payload indexes a leaf_values row).
-  void predict_scores(const T* features, std::size_t n_samples,
-                      std::span<const T> leaf_values, std::size_t n_outputs,
-                      std::span<const T> base, T* out) const;
-
-  [[nodiscard]] std::int32_t predict(std::span<const T> x) const;
-
- private:
-  LayoutPlan plan_;
-  Q4Forest<T> packed_;
-};
-
 extern template struct Q4Forest<float>;
 extern template struct Q4Forest<double>;
 extern template std::optional<Q4Forest<float>> try_pack_q4<float>(
@@ -268,7 +194,5 @@ extern template std::optional<Q4Forest<float>> try_pack_q4<float>(
 extern template std::optional<Q4Forest<double>> try_pack_q4<double>(
     const trees::Forest<double>&, const LayoutPlan&,
     const KeyTableSet<double>&, bool, std::string*);
-extern template class Q4ForestEngine<float>;
-extern template class Q4ForestEngine<double>;
 
 }  // namespace flint::exec::layout

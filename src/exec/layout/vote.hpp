@@ -1,5 +1,5 @@
-// exec/layout/vote — the majority-vote epilogue of the c16 and q4 engines
-// and its exact early exit.
+// exec/layout/vote — the majority-vote epilogue of the layout engine
+// (engine.hpp, both compact widths) and its exact early exit.
 //
 // A vote forest predicts argmax_first over per-class tree votes (ties to the
 // lower class id, as in Forest::predict).  Once no other class can catch
@@ -10,7 +10,7 @@
 // decided before half the trees have voted; both traversal shapes walk the
 // first floor(T/2) trees without checking.
 //
-//   * latency path (compact.cpp / quant4.cpp predict_one): one check after
+//   * latency path (engine.cpp predict_one_interleaved): one check after
 //     each interleave group past the midpoint;
 //   * batch path (vote_with_exit): after the midpoint, trees are walked in
 //     chunks of kExitChunk; after each chunk the decided lanes write their

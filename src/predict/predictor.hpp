@@ -240,11 +240,11 @@ struct PredictorOptions {
 ///   layout:c16                LayoutForestEngine pinned to 16-byte compact
 ///                             nodes (throws when the model cannot be
 ///                             packed at that width)
-///   layout:q4                 Q4ForestEngine pinned to 4-byte quantized
+///   layout:q4                 LayoutForestEngine pinned to 4-byte quantized
 ///                             nodes (exec/layout/quant4.hpp): per-feature
 ///                             exact-rank or calibrated-affine thresholds
 ///                             under a QuantPlan, features quantized once
-///                             per batch, integer-only hot loop; the auto
+///                             per block, integer-only hot loop; the auto
 ///                             tuner picks this width itself only when the
 ///                             exactness/accuracy contract holds — pinning
 ///                             accepts any packable image (lossy included)

@@ -11,13 +11,6 @@ namespace flint::quant {
 
 namespace {
 
-/// -0.0 split values are stored as +0.0 everywhere (core::encode_threshold_le
-/// footnote-1 rewrite); the quantizer must see the same value the tables saw.
-template <typename T>
-[[nodiscard]] T normalize_zero(T split) noexcept {
-  return split == T{0} ? T{0} : split;
-}
-
 void append_double(std::string& out, double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.12g", v);
@@ -215,7 +208,7 @@ void annotate_thresholds(QuantPlan& plan, const trees::Forest<T>& forest) {
       if (n.is_leaf() || n.is_categorical()) continue;
       const auto f = static_cast<std::size_t>(n.feature);
       if (f >= keys.size()) continue;
-      keys[f].push_back(core::to_radix_key(normalize_zero(n.split)));
+      keys[f].push_back(core::to_radix_key(core::normalize_zero(n.split)));
     }
   }
   for (std::size_t f = 0; f < plan.features.size(); ++f) {
@@ -286,7 +279,7 @@ QuantForestEngine<T>::QuantForestEngine(const trees::Forest<T>& forest,
       } else {
         const auto f = static_cast<std::size_t>(n.feature);
         q.split_q = plan_.features[f].quantize(
-            static_cast<double>(normalize_zero(n.split)));
+            static_cast<double>(core::normalize_zero(n.split)));
         q.left = n.left + static_cast<std::int32_t>(base);
         q.right = n.right + static_cast<std::int32_t>(base);
       }

@@ -12,6 +12,7 @@
 #include "exec/interpreter.hpp"
 #include "exec/layout/compact.hpp"
 #include "exec/layout/plan.hpp"
+#include "exec/layout/quant4.hpp"
 #include "model/loaders.hpp"
 
 namespace flint::verify {
@@ -32,10 +33,10 @@ class Sink {
   Sink(Report& report, std::string artifact)
       : report_(report), artifact_(std::move(artifact)) {}
 
-  void add(const char* check, std::int64_t tree, std::int64_t node,
+  void add(std::string check, std::int64_t tree, std::int64_t node,
            std::string message) {
     ++count_;
-    report_.add({check, artifact_, tree, node, std::move(message)});
+    report_.add({std::move(check), artifact_, tree, node, std::move(message)});
   }
 
   [[nodiscard]] bool clean() const noexcept { return count_ == 0; }
@@ -46,13 +47,6 @@ class Sink {
   std::size_t count_ = 0;
 };
 
-/// The packers' -0.0 -> +0.0 split rewrite (core::encode_threshold_le
-/// semantics; +0.0 == -0.0 under IEEE so the comparison form is exact).
-template <typename T>
-T normalize_zero(T split) {
-  return split == T{0} ? T{0} : split;
-}
-
 /// Rank of `split` in its feature's key table IF the exactness round trip
 /// holds (the split's radix key present at its own rank); nullopt when the
 /// table cannot represent this split — the invariant every narrowed node
@@ -60,7 +54,7 @@ T normalize_zero(T split) {
 template <typename T>
 std::optional<std::int32_t> checked_rank(
     const exec::layout::KeyTable<T>& table, T split) {
-  const auto key = core::to_radix_key(normalize_zero(split));
+  const auto key = core::to_radix_key(core::normalize_zero(split));
   const auto r = table.rank_of_key(key);
   if (static_cast<std::size_t>(r) >= table.size() ||
       table.keys()[static_cast<std::size_t>(r)] != key) {
@@ -354,7 +348,7 @@ void verify_packed_nodes(const trees::Forest<T>& forest,
         }
         continue;
       }
-      const auto enc = core::encode_threshold_le(normalize_zero(n.split));
+      const auto enc = core::encode_threshold_le(n.split);
       const bool want_flip = enc.mode == core::ThresholdMode::SignFlip;
       const bool got_flip = (p.flags & exec::kPackedSignFlip) != 0;
       if (p.payload != enc.immediate || got_flip != want_flip) {
@@ -368,173 +362,70 @@ void verify_packed_nodes(const trees::Forest<T>& forest,
   }
 }
 
-/// CompactForest lockstep walk: pairs (source node, packed node) from each
-/// root, enforcing the implicit-left rule, the sign-bit leaf tag, narrowed
-/// keys, flags, and full single-visit coverage of the packed array.
+/// The key a numeric inner node must carry (nullopt when the key table
+/// cannot represent its split), and the diagnostic when it does not.
+struct KeyWant {
+  std::optional<std::int64_t> key;
+  const char* mismatch;
+};
+
+/// c16: the split's radix key (float) or its exact rank.
 template <typename T>
-void verify_compact(
-    const trees::Forest<T>& forest,
+KeyWant expected_key(
     const exec::layout::CompactForest<T, exec::layout::CompactNode16>& f,
-    const exec::layout::KeyTableSet<T>& tables, Report& report) {
-  Sink s(report, "c16");
-  const auto size = static_cast<std::int64_t>(f.nodes.size());
-  if (f.roots.size() != forest.size() ||
-      f.nodes.size() != forest.total_nodes() ||
-      f.num_classes != forest.num_classes() ||
-      f.feature_count != forest.feature_count() ||
-      f.has_special != forest.has_special_splits()) {
-    s.add("compact.roots", -1, -1,
-          "packed shape does not match the source forest");
-    return;
+    const exec::layout::KeyTableSet<T>& tables, const trees::Node<T>& n) {
+  KeyWant want{std::nullopt,
+               "narrowed key does not reproduce the source threshold exactly"};
+  if (f.identity_keys) {
+    want.key = core::to_radix_key(core::normalize_zero(n.split));
+  } else if (static_cast<std::size_t>(n.feature) < tables.features.size()) {
+    want.key = checked_rank(
+        tables.features[static_cast<std::size_t>(n.feature)], n.split);
   }
-  if (f.hot_nodes > f.nodes.size()) {
-    s.add("compact.hot", -1, -1,
-          "hot slab larger than the node array (" +
-              std::to_string(f.hot_nodes) + " > " +
-              std::to_string(f.nodes.size()) + ")");
-  }
-  if (f.cat_offsets.size() != f.cat_sizes.size() ||
-      f.cat_offsets.size() != f.cat_feature.size()) {
-    s.add("compact.cat", -1, -1, "category slot tables ragged");
-    return;
-  }
-  std::vector<std::uint8_t> seen(f.nodes.size(), 0);
-  std::vector<std::pair<std::int32_t, std::int64_t>> stack;
-  for (std::size_t t = 0; t < forest.size(); ++t) {
-    const auto& tree = forest.tree(t);
-    const auto ti = static_cast<std::int64_t>(t);
-    if (f.roots[t] < 0 || f.roots[t] >= size) {
-      s.add("compact.roots", ti, -1,
-            "root " + std::to_string(f.roots[t]) + " outside [0, " +
-                std::to_string(size) + ")");
-      continue;
-    }
-    stack.assign(1, {0, f.roots[t]});
-    while (!stack.empty()) {
-      const auto [i, p] = stack.back();
-      stack.pop_back();
-      if (p < 0 || p >= size) {
-        s.add("compact.offset", ti, p, "node index outside the array");
-        continue;
-      }
-      if (seen[static_cast<std::size_t>(p)]) {
-        s.add("compact.structure", ti, p,
-              "packed node reached twice (placement overlap)");
-        continue;
-      }
-      seen[static_cast<std::size_t>(p)] = 1;
-      ++report.nodes_checked;
-      const auto& n = tree.node(i);
-      const auto& pn = f.nodes[static_cast<std::size_t>(p)];
-      if (n.is_leaf()) {
-        if (pn.right_off >= 0) {
-          s.add("compact.leaf", ti, p,
-                "source leaf packed without the sign-bit leaf tag");
-          continue;
-        }
-        if (static_cast<std::int64_t>(pn.key) != n.prediction ||
-            pn.feature != 0 || exec::layout::node_default_left(pn) ||
-            exec::layout::node_categorical(pn)) {
-          s.add("compact.leaf", ti, p,
-                "leaf key/feature/flags diverged from the source leaf");
-        }
-        continue;
-      }
-      if (pn.right_off < 0) {
-        s.add("compact.offset", ti, p,
-              "source inner node packed with the leaf tag set");
-        continue;
-      }
-      const auto roff = static_cast<std::int64_t>(pn.right_off);
-      const std::int64_t left = p + 1;
-      const std::int64_t right = p + roff;
-      if (roff <= 0 || left >= size || right >= size) {
-        s.add("compact.offset", ti, p,
-              "child offsets (+1, +" + std::to_string(roff) +
-                  ") leave the array of " + std::to_string(size) + " nodes");
-        continue;
-      }
-      if (pn.feature != n.feature ||
-          exec::layout::node_default_left(pn) != n.default_left() ||
-          exec::layout::node_categorical(pn) != n.is_categorical()) {
-        s.add("compact.structure", ti, p,
-              "feature/flags diverged from the source node");
-      }
-      if (n.is_categorical()) {
-        const auto slot = static_cast<std::int64_t>(pn.key);
-        if (slot < 0 ||
-            slot >= static_cast<std::int64_t>(f.cat_slot_count())) {
-          s.add("compact.cat", ti, p,
-                "category slot " + std::to_string(slot) + " outside [0, " +
-                    std::to_string(f.cat_slot_count()) + ")");
-        } else {
-          const auto us = static_cast<std::size_t>(slot);
-          const auto off = f.cat_offsets[us];
-          const auto sz = f.cat_sizes[us];
-          const auto want = tree.cat_set(n.cat_slot);
-          if (f.cat_feature[us] != n.feature || off < 0 || sz < 0 ||
-              static_cast<std::size_t>(off) + static_cast<std::size_t>(sz) >
-                  f.cat_words.size() ||
-              static_cast<std::size_t>(sz) != want.size() ||
-              !std::equal(want.begin(), want.end(),
-                          f.cat_words.begin() + off)) {
-            s.add("compact.cat", ti, p,
-                  "category slot " + std::to_string(slot) +
-                      " feature/bitset diverged");
-          }
-        }
-      } else {
-        std::optional<std::int64_t> want_key;
-        if (f.identity_keys) {
-          want_key = static_cast<std::int64_t>(
-              core::to_radix_key(normalize_zero(n.split)));
-        } else if (static_cast<std::size_t>(n.feature) <
-                   tables.features.size()) {
-          const auto rank = checked_rank(
-              tables.features[static_cast<std::size_t>(n.feature)], n.split);
-          if (rank) want_key = *rank;
-        }
-        if (!want_key || static_cast<std::int64_t>(pn.key) != *want_key) {
-          s.add("compact.key", ti, p,
-                "narrowed key does not reproduce the source threshold "
-                "exactly");
-        }
-      }
-      stack.push_back({n.right, right});
-      stack.push_back({n.left, left});
-    }
-  }
-  std::size_t visited = 0;
-  for (const auto v : seen) visited += v;
-  if (visited != f.nodes.size()) {
-    s.add("compact.orphan", -1, -1,
-          std::to_string(f.nodes.size() - visited) +
-              " packed nodes unreachable from every root");
-  }
+  return want;
 }
 
-/// Q4Forest lockstep walk: the 4-byte image against the source forest.
-/// Same traversal discipline as verify_compact, plus the quantized-key
-/// contract: geometry bits must sum to the 31-bit budget, exact-mode keys
-/// must round-trip through their rank, affine-mode keys must reproduce the
-/// plan's own map (and that map must be monotone — a negative scale would
-/// invert every comparison).
+/// q4: the node's plan contract — the exact source rank for exact
+/// features, the affine map of the source threshold otherwise.
 template <typename T>
-void verify_q4(const trees::Forest<T>& forest,
-               const exec::layout::Q4Forest<T>& f,
-               const exec::layout::KeyTableSet<T>& tables, Report& report) {
-  Sink s(report, "q4");
-  const exec::layout::Q4Geometry g = f.geom;
-  const auto size = static_cast<std::int64_t>(f.nodes.size());
-  if (f.roots.size() != forest.size() ||
-      f.nodes.size() != forest.total_nodes() ||
-      f.num_classes != forest.num_classes() ||
-      f.feature_count != forest.feature_count() ||
-      f.has_special != forest.has_special_splits()) {
-    s.add("q4.roots", -1, -1,
-          "packed shape does not match the source forest");
-    return;
+KeyWant expected_key(const exec::layout::Q4Forest<T>& f,
+                     const exec::layout::KeyTableSet<T>& tables,
+                     const trees::Node<T>& n) {
+  const auto& fq = f.qplan.features[static_cast<std::size_t>(n.feature)];
+  if (!fq.exact()) {
+    return {fq.quantize(static_cast<double>(core::normalize_zero(n.split))) -
+                fq.q_lo,
+            "quantized key does not reproduce the plan's affine map of the "
+            "source threshold"};
   }
+  KeyWant want{std::nullopt,
+               "quantized key does not reproduce the source threshold's rank "
+               "exactly"};
+  if (static_cast<std::size_t>(n.feature) < tables.features.size()) {
+    want.key = checked_rank(
+        tables.features[static_cast<std::size_t>(n.feature)], n.split);
+  }
+  return want;
+}
+
+/// Header checks only a format's own fields need; false stops the walk.
+/// The c16 header has none.
+template <typename T>
+bool header_checks(
+    const trees::Forest<T>&,
+    const exec::layout::CompactForest<T, exec::layout::CompactNode16>&,
+    Sink&) {
+  return true;
+}
+
+/// q4: the geometry bits must sum to the 31-bit budget, the quantization
+/// plan must cover the forest at the packed key width with monotone maps (a
+/// negative scale would invert every comparison), and the flags sidecar
+/// must exist exactly for special forests.
+template <typename T>
+bool header_checks(const trees::Forest<T>& forest,
+                   const exec::layout::Q4Forest<T>& f, Sink& s) {
+  const exec::layout::Q4Geometry g = f.geom;
   if (g.key_bits + g.feature_bits + g.offset_bits != 31 || g.key_bits < 8 ||
       g.key_bits > 16 || g.feature_bits < 1 || g.offset_bits < 1) {
     s.add("q4.geometry", -1, -1,
@@ -542,14 +433,14 @@ void verify_q4(const trees::Forest<T>& forest,
               std::to_string(g.feature_bits) + "+" +
               std::to_string(g.offset_bits) +
               " violates the [leaf:1|off|feat|key] budget");
-    return;
+    return false;
   }
   if (f.qplan.bits != static_cast<int>(g.key_bits) ||
       f.qplan.features.size() != forest.feature_count()) {
     s.add("q4.plan", -1, -1,
           "quantization plan does not cover the forest at the packed key "
           "width");
-    return;
+    return false;
   }
   for (std::size_t fi = 0; fi < f.qplan.features.size(); ++fi) {
     const auto& fq = f.qplan.features[fi];
@@ -559,31 +450,60 @@ void verify_q4(const trees::Forest<T>& forest,
             "invert");
     }
   }
+  const bool flags_ok = f.has_special ? f.flags.size() == f.nodes.size()
+                                      : f.flags.empty();
+  if (!flags_ok) {
+    s.add("q4.structure", -1, -1,
+          "flags sidecar size does not match the special-split state");
+    return false;
+  }
+  return true;
+}
+
+/// Lockstep walk of one compact image (c16 or q4) against the source
+/// forest: pairs (source node, packed node) from each root through the
+/// image's own node decode, enforcing the implicit-left rule, the sign-bit
+/// leaf tag, the keys (expected_key), the flags, the category slots and
+/// full single-visit coverage of the packed array.  Check ids are
+/// `<prefix>.<check>`; `artifact` names the image in the report.
+template <typename Image>
+void verify_image(const trees::Forest<typename Image::Scalar>& forest,
+                  const Image& f,
+                  const exec::layout::KeyTableSet<typename Image::Scalar>&
+                      tables,
+                  const std::string& artifact, const std::string& prefix,
+                  Report& report) {
+  Sink s(report, artifact);
+  const auto id = [&](const char* check) { return prefix + "." + check; };
+  const auto size = static_cast<std::int64_t>(f.nodes.size());
+  if (f.roots.size() != forest.size() ||
+      f.nodes.size() != forest.total_nodes() ||
+      f.num_classes != forest.num_classes() ||
+      f.feature_count != forest.feature_count() ||
+      f.has_special != forest.has_special_splits()) {
+    s.add(id("roots"), -1, -1, "packed shape does not match the source forest");
+    return;
+  }
+  if (!header_checks(forest, f, s)) return;
   if (f.hot_nodes > f.nodes.size()) {
-    s.add("q4.hot", -1, -1,
+    s.add(id("hot"), -1, -1,
           "hot slab larger than the node array (" +
               std::to_string(f.hot_nodes) + " > " +
               std::to_string(f.nodes.size()) + ")");
   }
   if (f.cat_offsets.size() != f.cat_sizes.size() ||
       f.cat_offsets.size() != f.cat_feature.size()) {
-    s.add("q4.cat", -1, -1, "category slot tables ragged");
+    s.add(id("cat"), -1, -1, "category slot tables ragged");
     return;
   }
-  const bool flags_ok = f.has_special ? f.flags.size() == f.nodes.size()
-                                      : f.flags.empty();
-  if (!flags_ok) {
-    s.add("q4.structure", -1, -1,
-          "flags sidecar size does not match the special-split state");
-    return;
-  }
+  const auto nodes = f.view();
   std::vector<std::uint8_t> seen(f.nodes.size(), 0);
   std::vector<std::pair<std::int32_t, std::int64_t>> stack;
   for (std::size_t t = 0; t < forest.size(); ++t) {
     const auto& tree = forest.tree(t);
     const auto ti = static_cast<std::int64_t>(t);
     if (f.roots[t] < 0 || f.roots[t] >= size) {
-      s.add("q4.roots", ti, -1,
+      s.add(id("roots"), ti, -1,
             "root " + std::to_string(f.roots[t]) + " outside [0, " +
                 std::to_string(size) + ")");
       continue;
@@ -593,59 +513,60 @@ void verify_q4(const trees::Forest<T>& forest,
       const auto [i, p] = stack.back();
       stack.pop_back();
       if (p < 0 || p >= size) {
-        s.add("q4.offset", ti, p, "node index outside the array");
+        s.add(id("offset"), ti, p, "node index outside the array");
         continue;
       }
       if (seen[static_cast<std::size_t>(p)]) {
-        s.add("q4.structure", ti, p,
+        s.add(id("structure"), ti, p,
               "packed node reached twice (placement overlap)");
         continue;
       }
       seen[static_cast<std::size_t>(p)] = 1;
       ++report.nodes_checked;
       const auto& n = tree.node(i);
-      const std::uint32_t w = f.nodes[static_cast<std::size_t>(p)].word;
-      const std::uint8_t fl =
-          f.has_special ? f.flags[static_cast<std::size_t>(p)] : 0;
+      const auto pn = nodes.at(static_cast<std::int32_t>(p));
+      const std::uint8_t fl = f.node_flags(static_cast<std::size_t>(p));
+      const auto feature = static_cast<std::int64_t>(pn.feature);
       if (n.is_leaf()) {
-        if (!g.is_leaf(w)) {
-          s.add("q4.leaf", ti, p,
+        if (!pn.leaf) {
+          s.add(id("leaf"), ti, p,
                 "source leaf packed without the sign-bit leaf tag");
           continue;
         }
-        if (static_cast<std::int64_t>(g.key_of(w)) != n.prediction ||
-            g.feature_of(w) != 0 || g.offset_of(w) != 0 || fl != 0) {
-          s.add("q4.leaf", ti, p,
-                "leaf payload/feature/offset/flags diverged from the "
-                "source leaf");
+        if (static_cast<std::int64_t>(pn.key) != n.prediction ||
+            feature != 0 || pn.off > 0 || fl != 0) {
+          s.add(id("leaf"), ti, p,
+                "leaf payload/feature/offset/flags diverged from the source "
+                "leaf");
         }
         continue;
       }
-      if (g.is_leaf(w)) {
-        s.add("q4.offset", ti, p,
+      if (pn.leaf) {
+        s.add(id("offset"), ti, p,
               "source inner node packed with the leaf tag set");
         continue;
       }
-      const auto roff = static_cast<std::int64_t>(g.offset_of(w));
+      const auto roff = static_cast<std::int64_t>(pn.off);
       const std::int64_t left = p + 1;
       const std::int64_t right = p + roff;
       if (roff <= 0 || left >= size || right >= size) {
-        s.add("q4.offset", ti, p,
+        s.add(id("offset"), ti, p,
               "child offsets (+1, +" + std::to_string(roff) +
                   ") leave the array of " + std::to_string(size) + " nodes");
         continue;
       }
-      if (static_cast<std::int64_t>(g.feature_of(w)) != n.feature ||
-          ((fl & exec::layout::kQ4DefaultLeft) != 0) != n.default_left() ||
-          ((fl & exec::layout::kQ4Categorical) != 0) != n.is_categorical()) {
-        s.add("q4.structure", ti, p,
+      if (feature != n.feature ||
+          ((fl & exec::layout::kLayoutDefaultLeft) != 0) != n.default_left() ||
+          ((fl & exec::layout::kLayoutCategorical) != 0) !=
+              n.is_categorical()) {
+        s.add(id("structure"), ti, p,
               "feature/flags diverged from the source node");
       }
       if (n.is_categorical()) {
-        const auto slot = static_cast<std::int64_t>(g.key_of(w));
+        const auto slot = static_cast<std::int64_t>(pn.key);
         if (slot < 0 ||
             slot >= static_cast<std::int64_t>(f.cat_slot_count())) {
-          s.add("q4.cat", ti, p,
+          s.add(id("cat"), ti, p,
                 "category slot " + std::to_string(slot) + " outside [0, " +
                     std::to_string(f.cat_slot_count()) + ")");
         } else {
@@ -659,36 +580,15 @@ void verify_q4(const trees::Forest<T>& forest,
               static_cast<std::size_t>(sz) != want.size() ||
               !std::equal(want.begin(), want.end(),
                           f.cat_words.begin() + off)) {
-            s.add("q4.cat", ti, p,
+            s.add(id("cat"), ti, p,
                   "category slot " + std::to_string(slot) +
                       " feature/bitset diverged");
           }
         }
       } else {
-        const auto& fq =
-            f.qplan.features[static_cast<std::size_t>(n.feature)];
-        std::optional<std::int64_t> want_key;
-        if (fq.exact()) {
-          if (static_cast<std::size_t>(n.feature) < tables.features.size()) {
-            const auto rank = checked_rank(
-                tables.features[static_cast<std::size_t>(n.feature)],
-                n.split);
-            if (rank) want_key = *rank;
-          }
-        } else {
-          want_key =
-              fq.quantize(static_cast<double>(normalize_zero(n.split))) -
-              fq.q_lo;
-        }
-        if (!want_key || *want_key < 0 ||
-            *want_key > static_cast<std::int64_t>(g.key_mask()) ||
-            static_cast<std::int64_t>(g.key_of(w)) != *want_key) {
-          s.add("q4.key", ti, p,
-                fq.exact()
-                    ? "quantized key does not reproduce the source "
-                      "threshold's rank exactly"
-                    : "quantized key does not reproduce the plan's affine "
-                      "map of the source threshold");
+        const KeyWant want = expected_key(f, tables, n);
+        if (!want.key || static_cast<std::int64_t>(pn.key) != *want.key) {
+          s.add(id("key"), ti, p, want.mismatch);
         }
       }
       stack.push_back({n.right, right});
@@ -698,7 +598,7 @@ void verify_q4(const trees::Forest<T>& forest,
   std::size_t visited = 0;
   for (const auto v : seen) visited += v;
   if (visited != f.nodes.size()) {
-    s.add("q4.orphan", -1, -1,
+    s.add(id("orphan"), -1, -1,
           std::to_string(f.nodes.size() - visited) +
               " packed nodes unreachable from every root");
   }
@@ -806,23 +706,18 @@ Report verify_model(const model::ForestModel<T>& m) {
     report.artifacts_checked.push_back("packed");
 
     for (const std::size_t hot_depth : {std::size_t{0}, std::size_t{4}}) {
-      std::string why;
-      if (const auto* c16 = art.try_compact16_at(hot_depth, &why)) {
-        verify_compact(forest, *c16, art.tables(), report);
-        if (hot_depth == 0 && c16->hot_nodes != 0) {
-          report.add({"compact.hot", "c16", -1, -1,
+      const auto check = [&](const auto* image, const std::string& artifact,
+                             const std::string& prefix) {
+        if (image == nullptr) return;
+        verify_image(forest, *image, art.tables(), artifact, prefix, report);
+        if (hot_depth == 0 && image->hot_nodes != 0) {
+          report.add({prefix + ".hot", artifact, -1, -1,
                       "pure-DFS plan produced a hot slab"});
         }
-        if (hot_depth == 0) report.artifacts_checked.push_back("c16");
-      }
-      if (const auto* q4 = art.try_q4_at(hot_depth, &why)) {
-        verify_q4(forest, *q4, art.tables(), report);
-        if (hot_depth == 0 && q4->hot_nodes != 0) {
-          report.add({"q4.hot", "q4", -1, -1,
-                      "pure-DFS plan produced a hot slab"});
-        }
-        if (hot_depth == 0) report.artifacts_checked.push_back("q4");
-      }
+        if (hot_depth == 0) report.artifacts_checked.push_back(artifact);
+      };
+      check(art.try_compact16_at(hot_depth), "c16", "compact");
+      check(art.try_q4_at(hot_depth), "q4", "q4");
     }
   } catch (const std::exception& e) {
     report.add({"pack.exception", "pack", -1, -1, e.what()});

@@ -24,6 +24,7 @@
 #include "data/synth.hpp"
 #include "exec/artifacts/artifacts.hpp"
 #include "exec/layout/compact.hpp"
+#include "exec/layout/engine.hpp"
 #include "exec/layout/narrow.hpp"
 #include "exec/layout/plan.hpp"
 #include "exec/layout/quant4.hpp"
@@ -37,6 +38,20 @@ namespace {
 namespace layout = flint::exec::layout;
 using flint::core::to_radix_key;
 using flint::core::total_order;
+
+/// Pack-then-bind helpers: the c16 and q4 images of `forest` under `plan`
+/// (std::bad_optional_access when the forest does not pack).
+layout::CompactForest<float, layout::CompactNode16> c16_image(
+    const flint::trees::Forest<float>& forest, const layout::LayoutPlan& plan,
+    const layout::KeyTableSet<float>& tables) {
+  return layout::try_pack<float, layout::CompactNode16>(forest, plan, tables)
+      .value();
+}
+layout::Q4Forest<float> q4_image(const flint::trees::Forest<float>& forest,
+                                 const layout::LayoutPlan& plan,
+                                 const layout::KeyTableSet<float>& tables) {
+  return layout::try_pack_q4<float>(forest, plan, tables).value();
+}
 
 /// Adversarial float pool: special patterns, their bit neighbors, and the
 /// neighbors of every value in `seed_values`.
@@ -316,7 +331,8 @@ TEST_F(LayoutEngine, BitIdenticalAcrossWidthPlacementTraversal) {
       plan.interleave = interleave;
       plan.block_size = 48;
       plan.prefetch_opposite = hot_depth != 0;
-      const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
+      const layout::LayoutForestEngine engine(c16_image(forest_, plan, tables_),
+                                              plan);
       EXPECT_EQ(engine.node_bytes(), 16u);
       EXPECT_EQ(engine.hot_node_count() > 0, hot_depth > 0);
       std::vector<std::int32_t> out(n, -1);
@@ -350,7 +366,8 @@ TEST_F(LayoutEngine, ScalarLockstepPathMatchesVectorPath) {
   plan.width = layout::NodeWidth::C16;
   plan.block_size = 32;
   plan.prefetch_opposite = true;
-  const layout::LayoutForestEngine<float> engine(forest_, plan, tables_);
+  const layout::LayoutForestEngine engine(c16_image(forest_, plan, tables_),
+                                          plan);
   std::vector<std::int32_t> out(n, -1);
   engine.predict_batch(features.data(), n, out.data());
   EXPECT_EQ(out, expected) << plan.describe();
@@ -433,8 +450,8 @@ TEST(LayoutFallback, DemotedQ4FallsToExactC16) {
               !(q4->exact() || q4->qplan.accuracy_contract()));
   EXPECT_EQ(art.plan().width, layout::NodeWidth::C16);
   EXPECT_TRUE(art.plan().prefetch_opposite);
-  const layout::LayoutForestEngine<float> engine(forest, art.plan(),
-                                                 art.tables());
+  const layout::LayoutForestEngine engine(art.take_c16().value(),
+                                          art.plan());
   const auto predictor = flint::predict::make_predictor(forest, "layout:auto");
   for (const float x : xs) {
     EXPECT_EQ(engine.predict({&x, 1}), forest.predict({&x, 1})) << "x=" << x;
@@ -698,7 +715,8 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
     plan.width = layout::NodeWidth::Q4;
     plan.hot_depth = hot_depth;
     plan.block_size = 48;
-    const layout::Q4ForestEngine<float> engine(forest_, plan, tables_);
+    const layout::LayoutForestEngine engine(q4_image(forest_, plan, tables_),
+                                            plan);
     EXPECT_EQ(engine.node_bytes(), 4u);
     std::vector<std::int32_t> out(n, -1);
     engine.predict_batch(features.data(), n, out.data());
@@ -714,7 +732,8 @@ TEST_F(LayoutEngine, Q4EngineBitIdenticalOnVectorScalarAndLatencyPaths) {
   layout::LayoutPlan plan;
   plan.width = layout::NodeWidth::Q4;
   plan.block_size = 32;
-  const layout::Q4ForestEngine<float> engine(forest_, plan, tables_);
+  const layout::LayoutForestEngine engine(q4_image(forest_, plan, tables_),
+                                          plan);
   std::vector<std::int32_t> out(n, -1);
   engine.predict_batch(features.data(), n, out.data());
   EXPECT_EQ(out, expected);
@@ -743,15 +762,15 @@ flint::trees::Forest<float> chain_forest(const std::vector<float>& thresholds) {
 // Adversarial narrowing at both quantized key widths: thresholds drawn
 // from the special-pattern pool (signed zeros, denormals, infinities,
 // adjacent bit patterns) must route bit-identically through the 4-byte
-// image, whether the batch column block narrows to int8 (small span) or
-// stays int16 (table > 255 ranks).
+// image, whether the key span fits a byte (small span) or needs 16 bits
+// (table > 255 ranks).
 TEST(Q4Narrow, AdversarialThresholdsExactAtInt8AndInt16KeySpans) {
   // int8 span: the adversarial pool dedupes to well under 255 thresholds.
   std::vector<float> small_thresholds;
   for (const float t : adversarial_pool({})) {
     if (!std::isnan(t)) small_thresholds.push_back(t);
   }
-  // int16 span: > 255 distinct thresholds forces the uint16 column block.
+  // int16 span: > 255 distinct thresholds need 16-bit keys.
   std::vector<float> big_thresholds = small_thresholds;
   for (int i = 0; i < 300; ++i) {
     big_thresholds.push_back(static_cast<float>(i) * 0.5f + 100.0f);
@@ -761,7 +780,8 @@ TEST(Q4Narrow, AdversarialThresholdsExactAtInt8AndInt16KeySpans) {
     const auto tables = layout::build_key_tables(forest);
     layout::LayoutPlan plan;
     plan.width = layout::NodeWidth::Q4;
-    const layout::Q4ForestEngine<float> engine(forest, plan, tables);
+    const layout::LayoutForestEngine engine(q4_image(forest, plan, tables),
+                                            plan);
     ASSERT_TRUE(engine.packed().exact());
     const bool int8_block = engine.packed().max_key_span() <= 255;
     EXPECT_EQ(int8_block, thresholds == &small_thresholds);
@@ -804,7 +824,7 @@ TEST(Q4Contract, OversizedTableGoesAffineAndReportsCollapse) {
   EXPECT_EQ(fq.distinct, thresholds.size());
   EXPECT_LT(fq.quantized_distinct, fq.distinct);
   // A pinned lossy engine still constructs and serves monotone routing.
-  const layout::Q4ForestEngine<float> engine(*packed, plan);
+  const layout::LayoutForestEngine engine(*packed, plan);
   const float probe = 12345.0f;
   (void)engine.predict({&probe, 1});
 }
@@ -1060,8 +1080,40 @@ TEST(VoteExit, StumpForestsMatchForestPredictOnEveryPath) {
   }
 }
 
+/// Stumps over 3 features with leaf payloads in [0, rows): even trees
+/// split feature (t / 2) % 2 numerically with a random NaN default
+/// direction, odd trees test feature 2 for membership in a random
+/// category set.
+flint::trees::Forest<float> special_stump_forest(std::size_t trees, int rows,
+                                                 std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<std::int32_t> row(0, rows - 1);
+  std::uniform_real_distribution<float> thr(0.0f, 1.0f);
+  std::vector<flint::trees::Tree<float>> out;
+  for (std::size_t t = 0; t < trees; ++t) {
+    flint::trees::Tree<float> tree(3);
+    const bool default_left = (rng() & 1u) != 0;
+    std::int32_t root;
+    if (t % 2 == 0) {
+      root = tree.add_split(static_cast<std::int32_t>((t / 2) % 2), thr(rng),
+                            default_left);
+    } else {
+      const std::uint32_t words[] = {static_cast<std::uint32_t>(rng()) | 1u,
+                                     static_cast<std::uint32_t>(rng())};
+      root = tree.add_cat_split(2, tree.add_cat_set(words), default_left);
+    }
+    const auto l = tree.add_leaf(row(rng));
+    const auto r = tree.add_leaf(row(rng));
+    tree.link(root, l, r);
+    out.push_back(std::move(tree));
+  }
+  return flint::trees::Forest<float>(std::move(out), rows);
+}
+
 // The engines at a block size below the batch: every block compacts on
-// its own, including a short tail block, on the vector and scalar loops.
+// its own, including a short tail block, on the vector and scalar loops;
+// and the score walk accumulates across blocks bit for bit, on a plain
+// k = 3 model and on a NaN default-left plus categorical one.
 TEST(VoteExit, SmallBlocksCompactIndependently) {
   const auto forest = stump_forest(random_stumps(40, 3, 5, 99), 3, 5, false);
   const auto tables = layout::build_key_tables(forest);
@@ -1079,9 +1131,11 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
     for (const std::size_t block : {std::size_t{33}, std::size_t{72}}) {
       layout::LayoutPlan plan;
       plan.block_size = block;
-      const layout::LayoutForestEngine<float> c16(forest, plan, tables);
+      const layout::LayoutForestEngine c16(c16_image(forest, plan, tables),
+                                           plan);
       plan.width = layout::NodeWidth::Q4;
-      const layout::Q4ForestEngine<float> q4(forest, plan, tables);
+      const layout::LayoutForestEngine q4(q4_image(forest, plan, tables),
+                                          plan);
       std::vector<std::int32_t> out(n, -1);
       c16.predict_batch(rows.data(), n, out.data());
       EXPECT_EQ(out, expected) << "c16 block " << block << " scalar "
@@ -1090,6 +1144,76 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
       q4.predict_batch(rows.data(), n, out.data());
       EXPECT_EQ(out, expected) << "q4 block " << block << " scalar "
                                << scalar;
+    }
+  }
+
+  // Score leg: predict_scores against per-tree accumulation in tree order.
+  struct ScoreCase {
+    std::string name;
+    flint::trees::Forest<float> forest;
+    std::vector<float> base;
+    std::vector<float> features;
+  };
+  constexpr std::size_t k = 3;
+  std::vector<ScoreCase> cases;
+  cases.push_back({"plain", stump_forest(random_stumps(40, 3, 6, 5), 3, 6,
+                                         false),
+                   {0.5f, -0.25f, 1.0f}, rows});
+  std::vector<float> special_rows(n * 3);
+  std::uniform_int_distribution<int> kind(0, 9);
+  for (std::size_t i = 0; i < special_rows.size(); ++i) {
+    const int kd = kind(rng);
+    if (kd == 0) {
+      special_rows[i] = std::numeric_limits<float>::quiet_NaN();
+    } else if (i % 3 == 2) {
+      special_rows[i] = static_cast<float>(kd * 7 % 64);  // a category
+    } else {
+      special_rows[i] = unit(rng);
+    }
+  }
+  cases.push_back({"NaN default-left + categorical",
+                   special_stump_forest(40, 6, 17), {}, special_rows});
+  for (const auto& c : cases) {
+    ASSERT_EQ(c.forest.has_special_splits(), c.base.empty()) << c.name;
+    const auto score_tables = layout::build_key_tables(c.forest);
+    const auto n_rows = static_cast<std::size_t>(c.forest.num_classes());
+    std::vector<float> leaf_values(n_rows * k);
+    for (std::size_t i = 0; i < leaf_values.size(); ++i) {
+      leaf_values[i] = static_cast<float>(i % 7) * 0.37f - 1.1f;
+    }
+    std::vector<float> expected_scores(n * k);
+    for (std::size_t s = 0; s < n; ++s) {
+      const std::span<const float> x(c.features.data() + s * 3, 3);
+      float* acc = expected_scores.data() + s * k;
+      for (std::size_t j = 0; j < k; ++j) acc[j] = c.base.empty() ? 0.0f : c.base[j];
+      for (std::size_t t = 0; t < c.forest.size(); ++t) {
+        const auto leaf = static_cast<std::size_t>(c.forest.tree(t).predict(x));
+        for (std::size_t j = 0; j < k; ++j) acc[j] += leaf_values[leaf * k + j];
+      }
+    }
+    for (const bool scalar : {false, true}) {
+      const ForceScalar pin(scalar);
+      for (const std::size_t block : {std::size_t{33}, std::size_t{72}}) {
+        layout::LayoutPlan plan;
+        plan.block_size = block;
+        const layout::LayoutForestEngine c16(
+            c16_image(c.forest, plan, score_tables), plan);
+        const layout::LayoutForestEngine q4(
+            q4_image(c.forest, plan, score_tables), plan);
+        const auto check = [&](const auto& engine, const char* width) {
+          std::vector<float> out(n * k, std::numeric_limits<float>::quiet_NaN());
+          engine.predict_scores(c.features.data(), n, leaf_values, k, c.base,
+                                out.data());
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            ASSERT_EQ(flint::core::si_bits(out[i]),
+                      flint::core::si_bits(expected_scores[i]))
+                << c.name << " " << width << " block " << block << " scalar "
+                << scalar << " sample " << i / k << " output " << i % k;
+          }
+        };
+        check(c16, "c16");
+        check(q4, "q4");
+      }
     }
   }
 }
