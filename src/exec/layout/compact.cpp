@@ -257,7 +257,8 @@ std::optional<CompactForest<T, Node>> try_pack(const trees::Forest<T>& forest,
   packed.hot_nodes = eo.hot_nodes;
   packed.nodes.resize(eo.order.size());
   fill_nodes(forest, eo, key_max, packed,
-             [&](std::size_t p, const trees::Node<T>& nd, const NodeFill& fill) {
+             [&](std::size_t p, const trees::Node<T>& nd,
+                 const NodeFill& fill) {
                Node& out = packed.nodes[p];
                if (fill.leaf) {
                  out.key = static_cast<Key>(nd.prediction);

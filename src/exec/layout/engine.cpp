@@ -91,8 +91,8 @@ void lockstep_walk(const Image& f, std::size_t t0, std::size_t t1,
             if (nan_mask[row[r] * cols + nd.feature]) {
               go = (fl & kLayoutDefaultLeft) != 0;
             } else if (fl & kLayoutCategorical) {
-              go = member[row[r] * n_slots + static_cast<std::size_t>(nd.key)] !=
-                   0;
+              go = member[row[r] * n_slots +
+                          static_cast<std::size_t>(nd.key)] != 0;
             } else {
               go = key_le(krow[r][nd.feature], nd.key);
             }

@@ -938,10 +938,11 @@ std::unique_ptr<Predictor<T>> make_encoded_predictor(
 /// tuned for its own image size.  The engine binds the bundle's image of
 /// the planned width; a 4-byte image for auto only stands when the
 /// quantization contract holds (the bundle demotes otherwise), while
-/// pinned layout:q4 accepts any packable image, lossy or not.  quant:affine packs the pinned 4-byte plan with every tested
-/// feature forced through its calibrated affine map: the deterministic
-/// lossy configuration, same format and kernels.  Auto falls back to the
-/// wide encoded interpreter when no compact width fits.
+/// pinned layout:q4 accepts any packable image, lossy or not.
+/// quant:affine packs the pinned 4-byte plan with every tested feature
+/// forced through its calibrated affine map: the deterministic lossy
+/// configuration, same format and kernels.  Auto falls back to the wide
+/// encoded interpreter when no compact width fits.
 template <typename T>
 std::unique_ptr<Predictor<T>> make_layout_predictor(
     const trees::Forest<T>& forest, std::string_view mode, OptionalSpec<T> spec,

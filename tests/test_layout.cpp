@@ -1151,6 +1151,7 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
   struct ScoreCase {
     std::string name;
     flint::trees::Forest<float> forest;
+    bool special;
     std::vector<float> base;
     std::vector<float> features;
   };
@@ -1158,7 +1159,7 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
   std::vector<ScoreCase> cases;
   cases.push_back({"plain", stump_forest(random_stumps(40, 3, 6, 5), 3, 6,
                                          false),
-                   {0.5f, -0.25f, 1.0f}, rows});
+                   false, {0.5f, -0.25f, 1.0f}, rows});
   std::vector<float> special_rows(n * 3);
   std::uniform_int_distribution<int> kind(0, 9);
   for (std::size_t i = 0; i < special_rows.size(); ++i) {
@@ -1172,9 +1173,9 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
     }
   }
   cases.push_back({"NaN default-left + categorical",
-                   special_stump_forest(40, 6, 17), {}, special_rows});
+                   special_stump_forest(40, 6, 17), true, {}, special_rows});
   for (const auto& c : cases) {
-    ASSERT_EQ(c.forest.has_special_splits(), c.base.empty()) << c.name;
+    ASSERT_EQ(c.forest.has_special_splits(), c.special) << c.name;
     const auto score_tables = layout::build_key_tables(c.forest);
     const auto n_rows = static_cast<std::size_t>(c.forest.num_classes());
     std::vector<float> leaf_values(n_rows * k);
@@ -1185,7 +1186,9 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
     for (std::size_t s = 0; s < n; ++s) {
       const std::span<const float> x(c.features.data() + s * 3, 3);
       float* acc = expected_scores.data() + s * k;
-      for (std::size_t j = 0; j < k; ++j) acc[j] = c.base.empty() ? 0.0f : c.base[j];
+      for (std::size_t j = 0; j < k; ++j) {
+        acc[j] = c.base.empty() ? 0.0f : c.base[j];
+      }
       for (std::size_t t = 0; t < c.forest.size(); ++t) {
         const auto leaf = static_cast<std::size_t>(c.forest.tree(t).predict(x));
         for (std::size_t j = 0; j < k; ++j) acc[j] += leaf_values[leaf * k + j];
@@ -1201,7 +1204,8 @@ TEST(VoteExit, SmallBlocksCompactIndependently) {
         const layout::LayoutForestEngine q4(
             q4_image(c.forest, plan, score_tables), plan);
         const auto check = [&](const auto& engine, const char* width) {
-          std::vector<float> out(n * k, std::numeric_limits<float>::quiet_NaN());
+          std::vector<float> out(n * k,
+                                 std::numeric_limits<float>::quiet_NaN());
           engine.predict_scores(c.features.data(), n, leaf_values, k, c.base,
                                 out.data());
           for (std::size_t i = 0; i < out.size(); ++i) {
